@@ -20,7 +20,8 @@ import math
 from fractions import Fraction
 
 from .errors import (DecompositionError, InternalCheckError,
-                     NotLoneAxisError, PreconditionError)
+                     NielsenPathPresentError, NotLoneAxisError,
+                     PreconditionError)
 from .graphs import (GraphMap, MarkedGraph, base_label, compose, power,
                      rev_edge)
 from .isomorphism import canonical_encoding, canonical_turn_encoding
@@ -511,12 +512,16 @@ def lone_axis_decision(g: GraphMap, np_bound: int = nielsen.DEFAULT_BOUND,
             f"[homotopy-equivalence] the map does not represent an "
             f"automorphism: {ex}") from ex
     grot, exponent = _rotationless_power(g)
-    np_report = nielsen.find_nielsen_paths(grot, np_bound)
+    try:
+        np_report = nielsen.find_nielsen_paths(grot, np_bound)
+        np_free = not np_report.paths
+    except NielsenPathPresentError:
+        np_free = False  # more concatenations than the search lists
     common = dict(rank=r, train_track=True, primitive=True,
                   rotationless_exponent=exponent, np_bound=np_bound,
                   fully_irreducible_asserted=bool(fully_irreducible_asserted))
 
-    if np_report.paths:
+    if not np_free:
         # NPs force the geometric/parageometric index 1 - r, which can
         # never equal 3/2 - r
         return LoneAxisReport(np_free=False,

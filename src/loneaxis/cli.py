@@ -30,8 +30,9 @@ import json
 import sys
 from fractions import Fraction
 
-from .errors import (LoneAxisError, NielsenPathPresentError, ParseError,
-                     PreconditionError, UnknownAtBoundError)
+from .errors import (InternalCheckError, LoneAxisError,
+                     NielsenPathPresentError, ParseError, PreconditionError,
+                     UnknownAtBoundError)
 from .graphs import GraphMap, MarkedGraph, is_tight, power
 from . import axes, nielsen, spectral, traintrack, whitehead
 
@@ -41,6 +42,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_UNKNOWN = 2
 EXIT_INPUT = 3
+EXIT_INTERNAL = 4
 
 
 class GraphMapDocument:
@@ -417,6 +419,8 @@ def _cmd_signature(doc, args):
     report["bounds"]["nielsen_bound"] = args.bound
     try:
         sig = axes.axis_signature(doc.graph_map, np_bound=args.bound)
+    except InternalCheckError:
+        raise
     except LoneAxisError as ex:
         report["verdicts"]["signature_defined"] = False
         report["values"]["reason"] = str(ex)
@@ -548,6 +552,9 @@ def main(argv=None) -> int:
 
     try:
         report, code = run_subcommand(args.command, args, doc)
+    except InternalCheckError as ex:
+        print(f"error: internal check failed: {ex}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (OSError, LoneAxisError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_INPUT

@@ -4,16 +4,21 @@ A Nielsen path is a nontrivial tight path fixed by the tightened map;
 on rotationless input every periodic Nielsen path already has period
 one, so a period-1 search is complete.  An indivisible NP decomposes as
 two legal legs joined at an illegal turn, and each leg is a prefix of
-the ray swept out by iterating the map on a fixed direction, which is
-what the iterative search enumerates.  A brute-force enumeration over
-all tight paths doubles as an independent oracle at small bounds.
+the ray swept out by iterating the map on a fixed direction.  The map
+sends a leg R[:i] to R[:i] followed by a tail of the same ray, and two
+legs that meet at a tight turn degenerating in one step form an NP
+exactly when their tails agree, so the search matches legs by tail.  A
+brute-force enumeration over all tight paths doubles as an independent
+oracle at small bounds.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
-from .errors import InternalCheckError, PreconditionError
+from .errors import (InternalCheckError, NielsenPathPresentError,
+                     PreconditionError)
 from .graphs import GraphMap, rev_edge, rev_path
 from . import spectral, traintrack
 
@@ -78,10 +83,12 @@ def _fixed_directions(g):
 
 
 def _eigenray(g, d, bound):
-    """Prefix of the ray obtained by iterating g on a fixed direction.
+    """Prefix of at most `bound` edges of the ray obtained by iterating g
+    on a fixed direction, together with its image.
 
-    The ray is legal, so images concatenate without cancellation and
-    each iterate extends the previous one.
+    The ray is legal, so images concatenate without cancellation, each
+    iterate extends the previous one, and the image of the prefix is a
+    longer prefix of the same ray.
     """
     ray = (d,)
     while len(ray) < bound:
@@ -91,7 +98,8 @@ def _eigenray(g, d, bound):
         if len(grown) == len(ray):
             break  # non-expanding direction; cannot feed a leg
         ray = grown
-    return ray[:bound]
+    ray = ray[:bound]
+    return ray, g.apply_path(ray)
 
 
 def _canonical(path):
@@ -100,48 +108,37 @@ def _canonical(path):
     return path if path <= r else r
 
 
-def _leg_prefix_lengths(graph, ray):
-    out = [0.0]
-    for e in ray:
-        out.append(out[-1] + float(graph.length(e)))
-    return out
-
-
-def _iterative_search(g, bound, metric_graph):
+def _iterative_search(g, bound):
     """All indivisible NPs with legs of at most `bound` edges.
 
-    Candidates are pairs of eigenray prefixes glued at an illegal turn
-    whose directions are identified in one step; the candidate is kept
-    iff the tightened image reproduces it exactly.
+    A leg is a prefix R[:i] of the eigenray R at a fixed direction, and
+    g(R[:i]) = R[:i] . tau(i) with tail tau(i) = R[i:n(i)], where n(i) is
+    the summed image length of R[:i].  A candidate R_a[:i] . rev(R_b[:j])
+    whose junction is tight and degenerates in one step is fixed exactly
+    when tau_a(i) = tau_b(j): the two legal images can only cancel at the
+    junction, since a legal ray contains no illegal turn.  Legs are
+    bucketed by junction direction and tail, so only bucket mates are
+    paired; the tightened image confirms each candidate, which also
+    absorbs hash collisions.
     """
     dmap = traintrack.direction_map(g)
-    fixed = _fixed_directions(g)
-    rays = {d: _eigenray(g, d, bound) for d in fixed}
-    lengths = None
-    if metric_graph is not None:
-        lengths = {d: _leg_prefix_lengths(metric_graph, rays[d]) for d in fixed}
+    buckets = {}
+    for d in _fixed_directions(g):
+        ray, image = _eigenray(g, d, bound)
+        n = 0
+        for i, e in enumerate(ray, 1):
+            n += len(g.image(e))
+            key = (dmap[rev_edge(e)], n - i, hash(image[i:n]))
+            buckets.setdefault(key, []).append((ray, i))
 
-    found = {}
-    for da in fixed:
-        for db in fixed:
-            ray_a, ray_b = rays[da], rays[db]
-            for i in range(1, len(ray_a) + 1):
-                for j in range(1, len(ray_b) + 1):
-                    if da == db and i == j:
-                        continue
-                    last_a, last_b = ray_a[i - 1], ray_b[j - 1]
-                    if last_a == last_b:
-                        continue  # junction would not be tight
-                    # the junction turn of an NP degenerates in one step
-                    if dmap[rev_edge(last_a)] != dmap[rev_edge(last_b)]:
-                        continue
-                    if lengths is not None:
-                        la, lb = lengths[da][i], lengths[db][j]
-                        if abs(la - lb) > 1e-7 * max(1.0, la):
-                            continue  # legs of an NP have equal eigenlength
-                    rho = ray_a[:i] + rev_path(ray_b[:j])
-                    if g.apply_path(rho) == rho:
-                        found[_canonical(rho)] = True
+    found = set()
+    for legs in buckets.values():
+        for (ray_a, i), (ray_b, j) in itertools.combinations(legs, 2):
+            if ray_a[i - 1] == ray_b[j - 1]:
+                continue  # junction would not be tight
+            rho = ray_a[:i] + rev_path(ray_b[:j])
+            if g.apply_path(rho) == rho:
+                found.add(_canonical(rho))
     return sorted(found)
 
 
@@ -174,7 +171,10 @@ def _concatenations(g, inps, max_len):
                         "tight concatenation of Nielsen paths must be fixed")
                 out.add(key)
                 if len(out) > _CONCAT_CAP:
-                    raise InternalCheckError("too many divisible Nielsen paths")
+                    # an output-size limit, reachable only when iNPs exist
+                    raise NielsenPathPresentError(
+                        f"more than {_CONCAT_CAP} divisible Nielsen paths "
+                        f"within {max_len} edges")
             frontier.append(new_seq)
     return sorted(out)
 
@@ -241,35 +241,37 @@ def _proven_leg_bound(g):
     In the eigenmetric a leg satisfies lam * L = L + L(prefix) with the
     prefix no longer than the longest edge image, so
     L <= lam * max_len / (lam - 1); dividing by the shortest edge
-    converts length to an edge count.
+    converts length to an edge count.  The caller has checked that g
+    is irreducible and expanding.
     """
-    tm = spectral.transition_matrix(g)
-    if spectral.matrix_class(tm) == spectral.REDUCIBLE:
-        return None, None
-    pf = spectral.pf_data(tm)
-    metric_graph = spectral.eigenmetric(g, pf)
+    pf = spectral.pf_data(spectral.transition_matrix(g))
+    # the search does not use the eigenmetric; building it runs the
+    # affine check, which validates the PF data this bound rests on
+    spectral.eigenmetric(g, pf)
     lam = pf.lam
-    if lam <= 1 + 1e-12:
-        return None, metric_graph
     max_len = max(pf.edge_lengths.values())
     min_len = min(pf.edge_lengths.values())
     leg_length = lam * max_len / (lam - 1)
-    return int(leg_length / min_len + 1e-9), metric_graph
+    return int(leg_length / min_len + 1e-9)
 
 
 def find_nielsen_paths(g: GraphMap, bound: int = DEFAULT_BOUND) -> NielsenPathReport:
     """Search for Nielsen paths with legs of at most `bound` edges.
 
-    Runs the leg-growing search always, and the brute-force oracle as a
-    cross-check whenever the bound is small enough for it (<= 12); any
-    disagreement raises.  The report is exhaustive when the proven leg
-    bound fits under the requested bound.
+    Indivisible NPs are found by matching eigenray legs whose image
+    tails agree (see `_iterative_search`); divisible ones are their
+    tight concatenations of up to twice the bound.  The brute-force
+    oracle runs as a cross-check whenever the bound is small enough for
+    it (<= 12); any disagreement raises.  The report is exhaustive when
+    the proven leg bound fits under the requested bound.  Raises
+    NielsenPathPresentError when the concatenations are too many to
+    list.
     """
     if bound < 1:
         raise PreconditionError("bound must be a positive integer")
     _require_rotationless_tt(g)
-    proven, metric_graph = _proven_leg_bound(g)
-    inps = _iterative_search(g, bound, metric_graph)
+    proven = _proven_leg_bound(g)
+    inps = _iterative_search(g, bound)
     divisible = _concatenations(g, inps, 2 * bound)
 
     if bound <= _ORACLE_MAX_BOUND:
@@ -284,8 +286,7 @@ def find_nielsen_paths(g: GraphMap, bound: int = DEFAULT_BOUND) -> NielsenPathRe
     paths = [NielsenPath(p, True) for p in inps]
     paths += [NielsenPath(p, False) for p in divisible]
     paths.sort(key=lambda np_: np_.path)
-    exhaustive = proven is not None and bound >= proven
-    return NielsenPathReport(paths, bound, exhaustive, proven)
+    return NielsenPathReport(paths, bound, bound >= proven, proven)
 
 
 def is_fully_stable(g: GraphMap, bound: int = DEFAULT_BOUND):
@@ -295,7 +296,10 @@ def is_fully_stable(g: GraphMap, bound: int = DEFAULT_BOUND):
     carries no Nielsen paths, which the search certifies when
     exhaustive.
     """
-    report = find_nielsen_paths(g, bound)
+    try:
+        report = find_nielsen_paths(g, bound)
+    except NielsenPathPresentError:
+        return False
     if report.paths:
         return False
     if report.exhaustive:

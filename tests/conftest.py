@@ -37,6 +37,14 @@ def dumbbell_instance():
                      "c": ("a", "c"), "d": ("a'", "d", "b")})
 
 
+def eight_petal_map():
+    """Rank-8 corpus map with two closed iNPs, d' h and f c g'; their tight
+    concatenations within 80 edges number more than the search lists."""
+    return rose_map({"a": "acafchcae", "b": "hbg", "c": "fchca",
+                     "d": "hbgd", "e": "fchcaehbghhbgd", "f": "fc",
+                     "g": "gfchca", "h": "hbgh"})
+
+
 def identity_map(rank=2):
     letters = [chr(ord("a") + i) for i in range(rank)]
     graph = rose(letters)

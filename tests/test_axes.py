@@ -9,7 +9,7 @@ from loneaxis.isomorphism import are_isomorphic
 from loneaxis import axes, spectral, traintrack
 
 from conftest import (cubic_map, cubic_map_relabeled, dumbbell_instance,
-                      fib_map, identity_map)
+                      eight_petal_map, fib_map, identity_map)
 
 
 class TestStallingsDecomposition:
@@ -165,6 +165,12 @@ class TestLoneAxisDecision:
     def test_non_train_track_rejected(self):
         with pytest.raises(PreconditionError):
             axes.lone_axis_decision(rose_map({"a": "ab", "b": "a'b"}))
+
+    def test_too_many_concatenations_negative(self):
+        rep = axes.lone_axis_decision(eight_petal_map(), np_bound=40)
+        assert rep.overall == "not-lone-axis"
+        assert rep.np_free is False
+        assert rep.index_sum == 1 - 8
 
 
 class TestAxisSignature:

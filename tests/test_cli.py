@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from loneaxis.errors import ParseError
+from loneaxis.errors import InternalCheckError, ParseError
 from loneaxis import cli
 from loneaxis.cli import (GraphMapDocument, parse_document,
                           serialize_document)
@@ -277,6 +277,15 @@ class TestSubcommands:
         p = tmp_path / "broken.doc"
         p.write_text("graph\nvertex v0\nedge a v0 v9\nmap\na -> a a\n")
         assert run(["check", str(p)]) == 3
+
+    def test_internal_check_exit(self, h_file, monkeypatch):
+        def broken(*args, **kwargs):
+            raise InternalCheckError("searches disagree")
+
+        monkeypatch.setattr(cli.nielsen, "find_nielsen_paths", broken)
+        monkeypatch.setattr(cli.axes, "axis_signature", broken)
+        assert run(["pnp", h_file]) == 4
+        assert run(["signature", h_file]) == 4
 
     def test_stdin(self, capsys, monkeypatch):
         import io

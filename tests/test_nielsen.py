@@ -1,10 +1,12 @@
+import itertools
+
 import pytest
 
-from loneaxis.errors import PreconditionError
-from loneaxis.graphs import apply_map, power, rev_path
-from loneaxis import nielsen, traintrack
+from loneaxis.errors import NielsenPathPresentError, PreconditionError
+from loneaxis.graphs import apply_map, power, rev_edge, rev_path, rose_map
+from loneaxis import axes, nielsen, traintrack
 
-from conftest import cubic_map, dumbbell_instance, fib_map
+from conftest import cubic_map, dumbbell_instance, eight_petal_map, fib_map
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +63,55 @@ class TestFindNielsenPaths:
         inp = report.inps()[0].path
         divisible = [p.path for p in report.paths if not p.indivisible]
         assert inp + inp in divisible
+
+
+def all_pairs_inps(g, bound):
+    """Reference for the leg matching: every pair of eigenray prefixes of
+    at most `bound` edges glued at a tight junction that degenerates in
+    one step, kept iff the tightened image reproduces it.  No matching
+    of image tails and no eigenlength filter."""
+    dmap = traintrack.direction_map(g)
+    dom = g.domain
+    legs = []
+    for d in dom.oriented:
+        v = dom.init_vertex(d)
+        if dmap[d] != d or g.vertex_map[v] != v:
+            continue
+        ray = (d,)
+        while len(ray) < bound:
+            ray = apply_map(g, ray)
+        legs += [ray[:i] for i in range(1, bound + 1)]
+    found = set()
+    for a, b in itertools.combinations(legs, 2):
+        if a[-1] == b[-1] or dmap[rev_edge(a[-1])] != dmap[rev_edge(b[-1])]:
+            continue
+        rho = a + rev_path(b)
+        if apply_map(g, rho) == rho:
+            found.add(min(rho, rev_path(rho)))
+    return sorted(found)
+
+
+class TestLegMatching:
+    @pytest.mark.parametrize("g", [
+        fib_map(), cubic_map(), dumbbell_instance(),
+        rose_map({"a": "bdabaaac", "b": "ba", "c": "ac", "d": "bdaba"}),
+        rose_map({"a": "adccbcbadccbbadccb", "b": "edbadccb",
+                  "c": "adccbcb", "d": "edcbd", "e": "ed"}),
+    ], ids=["fib", "cubic", "dumbbell", "rank4", "rank5"])
+    def test_matches_all_pairs_above_oracle_range(self, g):
+        grot, _ = axes._rotationless_power(g)
+        proven = nielsen.find_nielsen_paths(grot, 13).proven_leg_bound
+        for bound in sorted({13, 40, proven}):
+            mine = [p.path for p in nielsen.find_nielsen_paths(grot, bound).inps()]
+            assert mine == all_pairs_inps(grot, bound)
+
+    def test_too_many_concatenations(self):
+        g = eight_petal_map()
+        assert nielsen._iterative_search(g, 40) == all_pairs_inps(g, 40) \
+            == [("d'", "h"), ("f", "c", "g'")]
+        with pytest.raises(NielsenPathPresentError):
+            nielsen.find_nielsen_paths(g, 40)
+        assert nielsen.is_fully_stable(g, 40) is False
 
 
 class TestBruteForce:
