@@ -32,6 +32,10 @@ FOLD = "fold"
 HOMEOMORPHISM = "homeomorphism"
 
 _ROTATIONLESS_POWER_CAP = 60
+# total letters in the edge images of a rotationless power; the largest
+# one built in the tests and perfbench, the 42nd power of the rank-3 map
+# a->b, b->c, c->ab, has 396 655
+_ROTATIONLESS_LETTER_CAP = 10 ** 6
 
 
 class FoldMove:
@@ -473,13 +477,47 @@ class LoneAxisReport:
         return f"LoneAxisReport({self.overall}, i={self.index_sum})"
 
 
-def _rotationless_power(g: GraphMap):
-    ps = traintrack.periodic_structure(g)
-    k = ps.rotationless_exponent
+def rotationless_power(g: GraphMap):
+    """(g^k, k) for the rotationless exponent k of a train track map,
+    stored on g and shared by every caller.
+
+    Refuses, before building it, a power past the exponent cap or whose
+    edge images would hold more than a million letters in total.
+    """
+    return g._derived("rotationless_power", _rotationless_power)
+
+
+def _rotationless_power(g):
+    k = traintrack.periodic_structure(g).rotationless_exponent
     if k > _ROTATIONLESS_POWER_CAP:
         raise PreconditionError(
             f"rotationless exponent {k} is beyond desk scale")
-    return power(g, k) if k > 1 else g, k
+    if k == 1:
+        return g, k
+    # 1^T M^k 1 in exact integers: the iterates of a train track map do
+    # not cancel, so this is the letter count of the power's edge images
+    columns = list(zip(*spectral.transition_matrix(g).mat.tolist()))
+    lengths = [1] * len(columns)
+    for _ in range(k):
+        lengths = [sum(x * m for x, m in zip(lengths, col)) for col in columns]
+    letters = sum(lengths)
+    if letters > _ROTATIONLESS_LETTER_CAP:
+        raise PreconditionError(
+            f"rotationless power g^{k} has {letters} letters in its edge "
+            f"images, beyond desk scale")
+    return power(g, k), k
+
+
+def _is_homotopy_equivalence(g):
+    # folding to a homeomorphism is exactly the homotopy equivalence
+    # test; injective-but-not-surjective endomorphisms fail here.  Only
+    # the outcome is kept, not the fold sequence.
+    stallings_decomposition(g)
+    return True
+
+
+def _fold_records_of(grot):
+    return tuple(_fold_records(stallings_decomposition(grot)))
 
 
 def lone_axis_decision(g: GraphMap, np_bound: int = nielsen.DEFAULT_BOUND,
@@ -504,14 +542,12 @@ def lone_axis_decision(g: GraphMap, np_bound: int = nielsen.DEFAULT_BOUND,
             "[spectral] transition matrix is not primitive, so the map "
             "cannot represent a fully irreducible automorphism")
     try:
-        # folding to a homeomorphism is exactly the homotopy equivalence
-        # test; injective-but-not-surjective endomorphisms fail here
-        stallings_decomposition(g)
+        g._derived("homotopy_equivalence", _is_homotopy_equivalence)
     except DecompositionError as ex:
         raise PreconditionError(
             f"[homotopy-equivalence] the map does not represent an "
             f"automorphism: {ex}") from ex
-    grot, exponent = _rotationless_power(g)
+    grot, exponent = rotationless_power(g)
     try:
         np_report = nielsen.find_nielsen_paths(grot, np_bound)
         np_free = not np_report.paths
@@ -639,9 +675,8 @@ def axis_signature(g: GraphMap, np_bound: int = nielsen.DEFAULT_BOUND,
     if report.overall not in ("conditional", "lone-axis"):
         raise NotLoneAxisError(
             f"axis signature undefined: decision is {report.overall}")
-    grot, exponent = _rotationless_power(g)
-    seq = stallings_decomposition(grot)
-    records = _fold_records(seq)
+    grot, exponent = rotationless_power(g)
+    records = grot._derived("fold_records", _fold_records_of)
     primitive, reps = _primitive_rotation(records)
     return AxisSignature(primitive, spectral.dilatation(g), exponent, reps)
 

@@ -33,7 +33,7 @@ from fractions import Fraction
 from .errors import (InternalCheckError, LoneAxisError,
                      NielsenPathPresentError, ParseError, PreconditionError,
                      UnknownAtBoundError)
-from .graphs import GraphMap, MarkedGraph, is_tight, power
+from .graphs import GraphMap, MarkedGraph, is_tight
 from . import axes, nielsen, spectral, traintrack, whitehead
 
 SCHEMA_VERSION = "1"
@@ -284,17 +284,18 @@ def _cmd_gates(doc, args):
     return report, EXIT_OK
 
 
-def _rotationless(doc):
-    g = doc.graph_map
-    ps = traintrack.periodic_structure(g)
-    k = ps.rotationless_exponent
-    return (power(g, k) if k > 1 else g), k
-
-
 def _cmd_pnp(doc, args):
-    g, exponent = _rotationless(doc)
-    rep = nielsen.find_nielsen_paths(g, args.bound)
+    g, exponent = axes.rotationless_power(doc.graph_map)
     report = _report_skeleton(doc, "pnp")
+    try:
+        rep = nielsen.find_nielsen_paths(g, args.bound)
+    except NielsenPathPresentError as ex:
+        # too many concatenations to list, so NPs are certainly present
+        report["bounds"]["search_bound"] = args.bound
+        report["values"]["rotationless_exponent"] = exponent
+        report["verdicts"]["nielsen_paths_present"] = True
+        report["values"]["reason"] = str(ex)
+        return report, EXIT_OK
     report["bounds"]["search_bound"] = rep.search_bound
     report["bounds"]["proven_leg_bound"] = rep.proven_leg_bound
     report["values"]["rotationless_exponent"] = exponent
@@ -307,7 +308,7 @@ def _cmd_pnp(doc, args):
 
 
 def _cmd_whitehead(doc, args):
-    g, exponent = _rotationless(doc)
+    g, exponent = axes.rotationless_power(doc.graph_map)
     report = _report_skeleton(doc, "whitehead")
     report["values"]["rotationless_exponent"] = exponent
     report["bounds"]["nielsen_bound"] = args.bound
@@ -343,7 +344,7 @@ def _cmd_whitehead(doc, args):
 
 
 def _cmd_index(doc, args):
-    g, exponent = _rotationless(doc)
+    g, exponent = axes.rotationless_power(doc.graph_map)
     report = _report_skeleton(doc, "index")
     report["values"]["rotationless_exponent"] = exponent
     report["bounds"]["nielsen_bound"] = args.bound

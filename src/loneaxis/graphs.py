@@ -198,15 +198,53 @@ def rose(labels, vertex="v0", lengths=None, normalized=False):
                        normalized=normalized)
 
 
-class GraphMap:
+class DerivedStore:
+    """Per-instance store of values derived from an immutable object.
+
+    ``_derived(key, compute)`` runs ``compute(self)`` on the first call for
+    ``key`` and returns the stored value afterwards, so every caller gets
+    the same shared object and the store lives exactly as long as its
+    owner.  A call that raises stores nothing, so it raises again on the
+    next call.  Subclasses create ``self._store = {}`` when constructed.
+    """
+
+    def _derived(self, key, compute):
+        if key not in self._store:
+            # setdefault keeps the first value stored if two threads race
+            self._store.setdefault(key, compute(self))
+        return self._store[key]
+
+    def __getstate__(self):
+        # a copy or an unpickled object starts with an empty store
+        return {**self.__dict__, "_store": {}}
+
+
+class ReadOnlyDict(dict):
+    """A dict that refuses changes, for mappings shared by every caller."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a shared result is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
+class GraphMap(DerivedStore):
     """Topological representative g: domain -> codomain.
 
     ``edge_images`` maps each positive edge of the domain to a nonempty
     tight path in the codomain; the image of a reversed edge is the
     reversed image, so reversal-equivariance holds by construction.
+    A map never changes after construction, so the structures derived
+    from it (direction map, gates, transition matrix, Nielsen search,
+    rotationless power, ...) are computed once and stored on it.
     """
 
     def __init__(self, domain, codomain, vertex_map, edge_images):
+        self._store = {}
         self.domain = domain
         self.codomain = codomain
         self.vertex_map = dict(vertex_map)

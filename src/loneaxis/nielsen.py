@@ -117,28 +117,35 @@ def _iterative_search(g, bound):
     whose junction is tight and degenerates in one step is fixed exactly
     when tau_a(i) = tau_b(j): the two legal images can only cancel at the
     junction, since a legal ray contains no illegal turn.  Legs are
-    bucketed by junction direction and tail, so only bucket mates are
-    paired; the tightened image confirms each candidate, which also
-    absorbs hash collisions.
+    grouped by junction direction and tail length, and only a group of
+    two legs or more has its tails built and compared, so a long image
+    is not sliced once per leg; the tightened image confirms each
+    candidate.
     """
     dmap = traintrack.direction_map(g)
-    buckets = {}
+    groups = {}
     for d in _fixed_directions(g):
         ray, image = _eigenray(g, d, bound)
         n = 0
         for i, e in enumerate(ray, 1):
             n += len(g.image(e))
-            key = (dmap[rev_edge(e)], n - i, hash(image[i:n]))
-            buckets.setdefault(key, []).append((ray, i))
+            groups.setdefault((dmap[rev_edge(e)], n - i), []).append(
+                (ray, i, image, n))
 
     found = set()
-    for legs in buckets.values():
-        for (ray_a, i), (ray_b, j) in itertools.combinations(legs, 2):
-            if ray_a[i - 1] == ray_b[j - 1]:
-                continue  # junction would not be tight
-            rho = ray_a[:i] + rev_path(ray_b[:j])
-            if g.apply_path(rho) == rho:
-                found.add(_canonical(rho))
+    for group in groups.values():
+        if len(group) < 2:
+            continue  # a lone leg has no mate; its tail is never built
+        by_tail = {}
+        for ray, i, image, n in group:
+            by_tail.setdefault(image[i:n], []).append((ray, i))
+        for legs in by_tail.values():
+            for (ray_a, i), (ray_b, j) in itertools.combinations(legs, 2):
+                if ray_a[i - 1] == ray_b[j - 1]:
+                    continue  # junction would not be tight
+                rho = ray_a[:i] + rev_path(ray_b[:j])
+                if g.apply_path(rho) == rho:
+                    found.add(_canonical(rho))
     return sorted(found)
 
 
@@ -261,28 +268,33 @@ def find_nielsen_paths(g: GraphMap, bound: int = DEFAULT_BOUND) -> NielsenPathRe
     Indivisible NPs are found by matching eigenray legs whose image
     tails agree (see `_iterative_search`); divisible ones are their
     tight concatenations of up to twice the bound.  The brute-force
-    oracle runs as a cross-check whenever the bound is small enough for
-    it (<= 12); any disagreement raises.  The report is exhaustive when
-    the proven leg bound fits under the requested bound.  Raises
-    NielsenPathPresentError when the concatenations are too many to
-    list.
+    oracle runs as a cross-check on every call whose bound is small
+    enough for it (<= 12); any disagreement raises.  The report is
+    exhaustive when the proven leg bound fits under the requested bound.
+    Raises NielsenPathPresentError when the concatenations are too many
+    to list.  The report is stored on g per bound and shared by every
+    caller; the oracle's verdict is not, so every call at a small bound
+    checks the stored report against a fresh brute-force enumeration.
     """
     if bound < 1:
         raise PreconditionError("bound must be a positive integer")
-    _require_rotationless_tt(g)
-    proven = _proven_leg_bound(g)
-    inps = _iterative_search(g, bound)
-    divisible = _concatenations(g, inps, 2 * bound)
-
+    report = g._derived(("nielsen_paths", bound),
+                        lambda g: _find_nielsen_paths(g, bound))
     if bound <= _ORACLE_MAX_BOUND:
         oracle = set(brute_force_nielsen_paths(g, bound))
-        mine = {p for p in inps if len(p) <= bound}
-        mine |= {p for p in divisible if len(p) <= bound}
+        mine = {p.path for p in report.paths if len(p.path) <= bound}
         if mine != oracle:
             raise InternalCheckError(
                 f"Nielsen searches disagree: iterative {sorted(mine)} "
                 f"vs brute force {sorted(oracle)}")
+    return report
 
+
+def _find_nielsen_paths(g, bound):
+    _require_rotationless_tt(g)
+    proven = _proven_leg_bound(g)
+    inps = _iterative_search(g, bound)
+    divisible = _concatenations(g, inps, 2 * bound)
     paths = [NielsenPath(p, True) for p in inps]
     paths += [NielsenPath(p, False) for p in divisible]
     paths.sort(key=lambda np_: np_.path)

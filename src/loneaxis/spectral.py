@@ -10,11 +10,12 @@ stretch factor equal to the dilatation.
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 
 from .errors import PreconditionError
-from .graphs import GraphMap, base_label
+from .graphs import DerivedStore, GraphMap, ReadOnlyDict, base_label
 
 REDUCIBLE = "reducible"
 IMPRIMITIVE = "irreducible-imprimitive"
@@ -25,16 +26,19 @@ _POWER_RTOL = 1e-13
 _RESIDUAL_TOL = 1e-10
 
 
-class TransitionMatrix:
+class TransitionMatrix(DerivedStore):
     """Nonnegative integer matrix indexed by unoriented edge pairs.
 
     ``mat[i, j]`` counts crossings of pair ``pairs[i]`` by the image of
-    pair ``pairs[j]``.
+    pair ``pairs[j]``.  ``mat`` is a read-only copy, and the matrix class
+    and PF data are stored on the instance once computed.
     """
 
     def __init__(self, pairs, mat):
+        self._store = {}
         self.pairs = tuple(pairs)
-        self.mat = np.asarray(mat, dtype=np.int64)
+        self.mat = np.array(mat, dtype=np.int64)
+        self.mat.flags.writeable = False
         n = len(self.pairs)
         if self.mat.shape != (n, n) or (self.mat < 0).any():
             raise PreconditionError("malformed transition matrix")
@@ -53,7 +57,7 @@ class PFData:
 
     def __init__(self, lam, edge_lengths, residual):
         self.lam = float(lam)
-        self.edge_lengths = dict(edge_lengths)
+        self.edge_lengths = ReadOnlyDict(edge_lengths)
         self.residual = float(residual)
 
     def __repr__(self):
@@ -61,6 +65,12 @@ class PFData:
 
 
 def transition_matrix(g: GraphMap) -> TransitionMatrix:
+    """Transition matrix of a self-map, stored on g and shared by every
+    caller (its ``mat`` is read-only)."""
+    return g._derived("transition_matrix", _transition_matrix)
+
+
+def _transition_matrix(g):
     if not g.is_self_map():
         raise PreconditionError("transition matrix needs a self-map")
     pairs = g.domain.pairs
@@ -68,8 +78,8 @@ def transition_matrix(g: GraphMap) -> TransitionMatrix:
     n = len(pairs)
     mat = np.zeros((n, n), dtype=np.int64)
     for e in pairs:
-        for f in g.image(e):
-            mat[idx[base_label(f)], idx[e]] += 1
+        for f, count in Counter(g.image(e)).items():
+            mat[idx[base_label(f)], idx[e]] += count
     return TransitionMatrix(pairs, mat)
 
 
@@ -97,8 +107,12 @@ def matrix_class(tm: TransitionMatrix) -> str:
 
     Irreducibility is strong connectivity of the support digraph;
     primitivity is positivity of some power M^k with k within the
-    Wielandt bound (n-1)^2 + 1.
+    Wielandt bound (n-1)^2 + 1.  Stored on tm.
     """
+    return tm._derived("matrix_class", _matrix_class)
+
+
+def _matrix_class(tm):
     support = (tm.mat > 0)
     n = support.shape[0]
     if not _strongly_connected(support):
@@ -161,8 +175,13 @@ def pf_data(tm: TransitionMatrix) -> PFData:
 
     Requires an irreducible matrix.  Imprimitive input is handled by
     iterating (M^T)^p for the period p and averaging the orbit of the
-    eigenvector, which recovers the genuine eigenvector of M^T.
+    eigenvector, which recovers the genuine eigenvector of M^T.  Stored
+    on tm and shared by every caller (``edge_lengths`` is read-only).
     """
+    return tm._derived("pf_data", _pf_data)
+
+
+def _pf_data(tm):
     cls = matrix_class(tm)
     if cls == REDUCIBLE:
         raise PreconditionError("transition matrix is reducible")
@@ -191,10 +210,15 @@ def eigenmetric(g: GraphMap, pf: PFData | None = None):
     """Domain graph remetrized so that g stretches every edge by lam.
 
     Verifies the affine property: the image of each edge has length
-    lam times the edge, within 1e-9.
+    lam times the edge, within 1e-9.  Stored on g per PF data and shared
+    by every caller.
     """
     if pf is None:
         pf = pf_data(transition_matrix(g))
+    return g._derived(("eigenmetric", pf), lambda g: _eigenmetric(g, pf))
+
+
+def _eigenmetric(g, pf):
     graph = g.domain.with_lengths(pf.edge_lengths, normalized=True)
     for e in graph.pairs:
         img_len = sum(pf.edge_lengths[base_label(f)] for f in g.image(e))

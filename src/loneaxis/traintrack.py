@@ -5,6 +5,10 @@ stored as a frozenset of oriented edge labels.  A turn is illegal when
 its two directions are eventually identified by the direction map; the
 equivalence classes of that identification at each vertex are the
 gates.
+
+Every structure here depends on the map alone, so it is computed once,
+stored on the map, and shared by every caller; its mappings are
+read-only.
 """
 
 from __future__ import annotations
@@ -13,19 +17,24 @@ import math
 from fractions import Fraction
 
 from .errors import PreconditionError
-from .graphs import GraphMap, rev_edge
+from .graphs import GraphMap, ReadOnlyDict, rev_edge
 from . import spectral
 
 
-def direction_map(g: GraphMap) -> dict:
-    """Dg: each direction goes to the initial direction of its image."""
+def direction_map(g: GraphMap):
+    """Dg: each direction goes to the initial direction of its image, as a
+    read-only mapping stored on g."""
+    return g._derived("direction_map", _direction_map)
+
+
+def _direction_map(g):
     dm = {}
     for e in g.domain.oriented:
         img = g.image(e)
         if not img:
             raise PreconditionError(f"edge {e} has empty image")
         dm[e] = img[0]
-    return dm
+    return ReadOnlyDict(dm)
 
 
 def turns_crossed(path):
@@ -48,11 +57,12 @@ class GateStructure:
     def __init__(self, graph, dmap, gate_of):
         self.graph = graph
         self.direction_map = dmap
-        self.gate_of = gate_of  # direction -> gate (sorted tuple of directions)
-        self.gates_at = {
+        # direction -> gate (sorted tuple of directions)
+        self.gate_of = ReadOnlyDict(gate_of)
+        self.gates_at = ReadOnlyDict({
             v: tuple(sorted({gate_of[d] for d in graph.directions_at(v)}))
             for v in graph.vertices
-        }
+        })
         illegal = set()
         for v, gates in self.gates_at.items():
             for gate in gates:
@@ -73,6 +83,11 @@ class GateStructure:
 
 
 def gates(g: GraphMap) -> GateStructure:
+    """Gate structure of a self-map, stored on g."""
+    return g._derived("gates", _gates)
+
+
+def _gates(g):
     if not g.is_self_map():
         raise PreconditionError("gates need a self-map")
     dmap = direction_map(g)
@@ -127,11 +142,19 @@ def is_train_track(g: GraphMap) -> TrainTrackVerdict:
 
     Equivalent to all iterates being locally injective on edge
     interiors, since an illegal crossing folds under some iterate.
+    Stored on g.
     """
+    return g._derived("is_train_track", _is_train_track)
+
+
+def _is_train_track(g):
     gs = gates(g)
     for e in g.domain.pairs:
         img = g.image(e)
-        for turn in turns_crossed(img):
+        # each distinct pair of consecutive edges once, in order of first
+        # occurrence, so the first illegal one is the first crossed
+        for x, y in dict.fromkeys(zip(img, img[1:])):
+            turn = frozenset((rev_edge(x), y))
             if len(turn) == 1 or gs.is_illegal(turn):
                 return TrainTrackVerdict(False, (e, turn))
     return TrainTrackVerdict(True)
@@ -155,8 +178,8 @@ def _orbit_period(start, step):
 class PeriodicStructure:
     def __init__(self, vertex_periods, direction_periods, principal_vertices,
                  rotationless_exponent, principal_complete):
-        self.vertex_periods = dict(vertex_periods)
-        self.direction_periods = dict(direction_periods)
+        self.vertex_periods = ReadOnlyDict(vertex_periods)
+        self.direction_periods = ReadOnlyDict(direction_periods)
         self.principal_vertices = tuple(principal_vertices)
         self.rotationless_exponent = int(rotationless_exponent)
         # False while Nielsen path endpoints might still add principal
@@ -178,7 +201,13 @@ def periodic_structure(g: GraphMap, nielsen_free=None) -> PeriodicStructure:
     periods of all periodic vertices and of all periodic directions, so
     the corresponding power fixes every periodic point and direction
     (safe even if an NP endpoint later turns out to be principal).
+    Stored on g for each truth value of `nielsen_free`.
     """
+    return g._derived(("periodic_structure", bool(nielsen_free)),
+                      lambda g: _periodic_structure(g, nielsen_free))
+
+
+def _periodic_structure(g, nielsen_free):
     verdict = is_train_track(g)
     if not verdict:
         raise PreconditionError(f"not a train track map: {verdict}")
@@ -217,8 +246,12 @@ def taken_turns(g: GraphMap) -> frozenset:
     The smallest set containing every turn crossed by an edge image and
     closed under the induced map {d, d'} -> {Dg d, Dg d'}.  Requires a
     verified train track map with primitive transition matrix, so that
-    the closure really shadows the lamination.
+    the closure really shadows the lamination.  Stored on g.
     """
+    return g._derived("taken_turns", _taken_turns)
+
+
+def _taken_turns(g):
     verdict = is_train_track(g)
     if not verdict:
         raise PreconditionError(f"not a train track map: {verdict}")

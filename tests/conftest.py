@@ -45,6 +45,40 @@ def eight_petal_map():
                      "g": "gfchca", "h": "hbgh"})
 
 
+def rank4_map():
+    """Rank-4 corpus map whose Nielsen oracle blows up past bound 8."""
+    return rose_map({"a": "bdabaaac", "b": "ba", "c": "ac", "d": "bdaba"})
+
+
+def rank5_map():
+    return rose_map({"a": "adccbcbadccbbadccb", "b": "edbadccb",
+                     "c": "adccbcb", "d": "edcbd", "e": "ed"})
+
+
+def runaway_map():
+    """Rank-8 positive map with rotationless exponent 6, whose rotationless
+    power would have 800 024 079 letters in its edge images."""
+    return rose_map({
+        "a": "bghdbgbghdcad",
+        "b": "ab",
+        "c": "bghdbgbghdcadcfbgbghdbgbghdcaeafbgbghdbgbghdc",
+        "d": "bghdbgbghdcaeafbgbghdbgbghdcdfbg",
+        "e": "bghdbgbghdcaeafbgbghdbgbghdc",
+        "f": "fbg",
+        "g": "cfbgbghdbgbghdcaeafbgbghdbgbghdcabgbghda",
+        "h": "bghdbgbghdc"})
+
+
+def defect_map():
+    """Rank-4 positive map with rotationless exponent 3: the affine check of
+    the eigenmetric of its rotationless power fails at an absolute 1e-9."""
+    return rose_map({
+        "a": "abdaabbbabdabbcdabdaabbbabdabbcdabdaabbbabdabbcdabdaab",
+        "b": "abdaabbbabdabbcd",
+        "c": "bbcdabdaabbbabdabbcdabdaabbabda",
+        "d": "abdaabbbabdabbcdbabda"})
+
+
 def identity_map(rank=2):
     letters = [chr(ord("a") + i) for i in range(rank)]
     graph = rose(letters)

@@ -24,12 +24,6 @@ def ok(n, text):
     print(f"ACCEPTANCE {n}: PASS  {text}")
 
 
-def rotationless(g):
-    ps = traintrack.periodic_structure(g)
-    k = ps.rotationless_exponent
-    return (power(g, k) if k > 1 else g), k
-
-
 def test_criterion_1_euler_gate_identity(corpus):
     """(1 - r) - GI equals half the sum of (1 - gate size).  Exact."""
     assert len(corpus) == 100
@@ -63,11 +57,9 @@ def test_criterion_3_index_inequality(corpus):
     """NP-free rotationless examples give 1 - r <= i < 0, entries <= -1/2."""
     qualifying = 0
     for g in corpus:
-        ps = traintrack.periodic_structure(g)
-        if ps.rotationless_exponent > 6:
+        if traintrack.periodic_structure(g).rotationless_exponent > 6:
             continue
-        grot = power(g, ps.rotationless_exponent) \
-            if ps.rotationless_exponent > 1 else g
+        grot, _ = axes.rotationless_power(g)
         if sum(len(grot.image(e)) for e in grot.domain.pairs) > 400:
             continue
         report = nielsen.find_nielsen_paths(grot, 16)
@@ -104,7 +96,7 @@ def test_criterion_4_worked_example_cubic():
     assert gs.gate_count("v0") == 5
     assert gs.illegal_turns == (frozenset(("a'", "c'")),)
 
-    grot, exponent = rotationless(g)
+    grot, exponent = axes.rotationless_power(g)
     assert exponent == 6
 
     report = nielsen.find_nielsen_paths(grot, 6)  # oracle cross-check runs
@@ -150,7 +142,7 @@ def test_criterion_5_worked_example_fib():
     assert abs(lam - (1 + math.sqrt(5)) / 2) < 1e-9
     assert abs(lam - 1.6180339887) <= 1e-9
 
-    grot, exponent = rotationless(g)
+    grot, exponent = axes.rotationless_power(g)
     assert exponent == 2
     report = nielsen.find_nielsen_paths(grot, 8)  # oracle cross-check runs
     iterative = {p.path for p in report.inps()}
@@ -272,11 +264,9 @@ def test_criterion_10_oracle_agreement(corpus, small_corpus):
     for g in small_corpus:
         if g.domain.rank() != 2:
             continue
-        ps = traintrack.periodic_structure(g)
-        if ps.rotationless_exponent > 2:
+        if traintrack.periodic_structure(g).rotationless_exponent > 2:
             continue
-        grot = power(g, ps.rotationless_exponent) \
-            if ps.rotationless_exponent > 1 else g
+        grot, _ = axes.rotationless_power(g)
         if sum(len(grot.image(e)) for e in grot.domain.pairs) > 60:
             continue
         nielsen.find_nielsen_paths(grot, 8)

@@ -9,7 +9,7 @@ from loneaxis.isomorphism import are_isomorphic
 from loneaxis import axes, spectral, traintrack
 
 from conftest import (cubic_map, cubic_map_relabeled, dumbbell_instance,
-                      eight_petal_map, fib_map, identity_map)
+                      eight_petal_map, fib_map, identity_map, runaway_map)
 
 
 class TestStallingsDecomposition:
@@ -171,6 +171,22 @@ class TestLoneAxisDecision:
         assert rep.overall == "not-lone-axis"
         assert rep.np_free is False
         assert rep.index_sum == 1 - 8
+
+
+class TestRotationlessPower:
+    def test_runaway_power_refused_before_it_is_built(self):
+        with pytest.raises(PreconditionError,
+                           match="800024079 letters .* beyond desk scale"):
+            axes.lone_axis_decision(runaway_map())
+
+    def test_letter_count_is_exact(self, monkeypatch):
+        g = power(cubic_map(), 5)  # rotationless exponent 6: the 30th power
+        letters = sum(len(power(cubic_map(), 30).image(e)) for e in "abc")
+        monkeypatch.setattr(axes, "_ROTATIONLESS_LETTER_CAP", letters)
+        assert axes.rotationless_power(g)[1] == 6
+        monkeypatch.setattr(axes, "_ROTATIONLESS_LETTER_CAP", letters - 1)
+        with pytest.raises(PreconditionError, match=f"{letters} letters"):
+            axes.rotationless_power(power(cubic_map(), 5))
 
 
 class TestAxisSignature:

@@ -9,7 +9,8 @@ from loneaxis import cli
 from loneaxis.cli import (GraphMapDocument, parse_document,
                           serialize_document)
 
-from conftest import build_corpus, dumbbell_instance
+from conftest import (build_corpus, dumbbell_instance, eight_petal_map,
+                      runaway_map)
 
 H_DOC = """\
 graph
@@ -210,6 +211,17 @@ class TestSubcommands:
         assert {"path": ["a'", "b'", "a", "b"], "indivisible": True} in \
             report["values"]["nielsen_paths"]
 
+    def test_pnp_too_many_concatenations(self, tmp_path, capsys):
+        p = tmp_path / "eight.doc"
+        p.write_text(serialize_document(GraphMapDocument(eight_petal_map())))
+        code, out = run_capture(["pnp", str(p), "--json"], capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert report["verdicts"] == {"nielsen_paths_present": True}
+        assert report["values"]["reason"] == (
+            "more than 200 divisible Nielsen paths within 80 edges")
+        assert report["bounds"] == {"search_bound": 40}
+
     def test_whitehead_ideal_with_dot(self, h_file, tmp_path, capsys):
         dot_file = tmp_path / "iw.dot"
         code, out = run_capture(
@@ -277,6 +289,13 @@ class TestSubcommands:
         p = tmp_path / "broken.doc"
         p.write_text("graph\nvertex v0\nedge a v0 v9\nmap\na -> a a\n")
         assert run(["check", str(p)]) == 3
+
+    def test_beyond_desk_scale_exit(self, tmp_path, capsys):
+        p = tmp_path / "runaway.doc"
+        p.write_text(serialize_document(GraphMapDocument(runaway_map())))
+        for sub in ("lone-axis", "pnp", "index", "whitehead"):
+            assert run([sub, str(p)]) == 3
+            assert "beyond desk scale" in capsys.readouterr().err
 
     def test_internal_check_exit(self, h_file, monkeypatch):
         def broken(*args, **kwargs):

@@ -3,10 +3,11 @@ import itertools
 import pytest
 
 from loneaxis.errors import NielsenPathPresentError, PreconditionError
-from loneaxis.graphs import apply_map, power, rev_edge, rev_path, rose_map
+from loneaxis.graphs import apply_map, power, rev_edge, rev_path
 from loneaxis import axes, nielsen, traintrack
 
-from conftest import cubic_map, dumbbell_instance, eight_petal_map, fib_map
+from conftest import (cubic_map, dumbbell_instance, eight_petal_map, fib_map,
+                      rank4_map, rank5_map)
 
 
 @pytest.fixture(scope="module")
@@ -93,13 +94,10 @@ def all_pairs_inps(g, bound):
 
 class TestLegMatching:
     @pytest.mark.parametrize("g", [
-        fib_map(), cubic_map(), dumbbell_instance(),
-        rose_map({"a": "bdabaaac", "b": "ba", "c": "ac", "d": "bdaba"}),
-        rose_map({"a": "adccbcbadccbbadccb", "b": "edbadccb",
-                  "c": "adccbcb", "d": "edcbd", "e": "ed"}),
+        fib_map(), cubic_map(), dumbbell_instance(), rank4_map(), rank5_map(),
     ], ids=["fib", "cubic", "dumbbell", "rank4", "rank5"])
     def test_matches_all_pairs_above_oracle_range(self, g):
-        grot, _ = axes._rotationless_power(g)
+        grot, _ = axes.rotationless_power(g)
         proven = nielsen.find_nielsen_paths(grot, 13).proven_leg_bound
         for bound in sorted({13, 40, proven}):
             mine = [p.path for p in nielsen.find_nielsen_paths(grot, bound).inps()]
@@ -130,11 +128,9 @@ class TestBruteForce:
         for g in small_corpus:
             if g.domain.rank() != 2:
                 continue
-            ps = traintrack.periodic_structure(g)
-            if ps.rotationless_exponent > 2:
+            if traintrack.periodic_structure(g).rotationless_exponent > 2:
                 continue
-            grot = power(g, ps.rotationless_exponent) \
-                if ps.rotationless_exponent > 1 else g
+            grot, _ = axes.rotationless_power(g)
             if sum(len(grot.image(e)) for e in grot.domain.pairs) > 60:
                 continue
             nielsen.find_nielsen_paths(grot, 8)  # raises on disagreement

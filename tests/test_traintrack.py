@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -95,6 +96,30 @@ class TestIsTrainTrack:
         gs = traintrack.gates(g)
         assert gs.is_illegal(bad_turn)
         assert bad_turn in traintrack.turns_crossed(g.image(edge))
+
+    def test_witness_is_first_illegal_crossing(self):
+        # reference: scan every turn of every image in order
+        rng = random.Random(4242)
+        alphabet = ["a", "b", "c", "a'", "b'", "c'"]
+        graph = rose(["a", "b", "c"])
+        failing = 0
+        for _ in range(300):
+            images = {}
+            for e in graph.pairs:
+                word = [rng.choice(alphabet)]
+                while len(word) < 8:
+                    word.append(rng.choice([x for x in alphabet
+                                            if x != rev_edge(word[-1])]))
+                images[e] = tuple(word)
+            g = GraphMap(graph, graph, {"v0": "v0"}, images)
+            gs = traintrack.gates(g)
+            first = next(((e, t) for e in graph.pairs
+                          for t in traintrack.turns_crossed(g.image(e))
+                          if gs.is_illegal(t)), None)
+            verdict = traintrack.is_train_track(g)
+            assert verdict.witness == first
+            failing += first is not None
+        assert failing > 100
 
     def test_brute_force_small_maps_agree(self):
         # every length-<=2 positive-or-mixed image choice on the 2-rose:
