@@ -14,16 +14,18 @@ canonical cyclic word usable as a conjugacy invariant.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
+from collections.abc import Sequence
 from fractions import Fraction
 
 from .errors import (DecompositionError, InternalCheckError,
-                     NielsenPathPresentError, NotLoneAxisError,
-                     PreconditionError)
-from .graphs import (GraphMap, MarkedGraph, base_label, compose, power,
-                     rev_edge)
+                     InvalidGraphError, NielsenPathPresentError,
+                     NotLoneAxisError, PreconditionError)
+from .graphs import (GraphMap, MarkedGraph, base_label, check_image,
+                     check_incidence, compose, power, rev_edge)
 from .isomorphism import canonical_encoding, canonical_turn_encoding
 from . import nielsen, spectral, traintrack, whitehead
 
@@ -41,22 +43,27 @@ _ROTATIONLESS_LETTER_CAP = 10 ** 6
 class FoldMove:
     """One elementary move of a decomposition.
 
-    ``map`` sends the previous graph onto the next one.  Folds carry the
-    turn that was folded (directions of the graph before this round's
-    subdivisions), the common image prefix in the target of the
-    residual, and which of the two sides was consumed whole.
+    ``map`` sends the previous graph onto the next one; it is built on
+    first read.  Folds carry the turn that was folded (directions of the
+    graph before this round's subdivisions), the common image prefix in
+    the target of the residual, and which of the two sides was consumed
+    whole.
     """
 
-    def __init__(self, kind, map_, turn=None, prefix=None, consumed=None,
+    def __init__(self, kind, build_map, turn=None, prefix=None, consumed=None,
                  edge=None, split_index=None, split_length=None):
         self.kind = kind
-        self.map = map_
+        self._build_map = build_map
         self.turn = turn
         self.prefix = prefix
         self.consumed = consumed
         self.edge = edge
         self.split_index = split_index
         self.split_length = split_length
+
+    @functools.cached_property
+    def map(self):
+        return self._build_map()
 
     def __repr__(self):
         if self.kind == FOLD:
@@ -66,19 +73,40 @@ class FoldMove:
         return "FoldMove(homeomorphism)"
 
 
+class _Stages(Sequence):
+    """Read-only sequence of n items, each built on its first read."""
+
+    def __init__(self, build, n):
+        self._build = build
+        self._items = [None] * n
+
+    def __len__(self):
+        return len(self._items)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(len(self))))
+        i = range(len(self))[i]
+        if self._items[i] is None:
+            self._items[i] = self._build(i)
+        return self._items[i]
+
+
 class FoldSequence:
     """Ordered decomposition of a graph map into folds plus a homeomorphism.
 
     ``graphs[i]`` is the graph after the first i moves; ``residuals[i]``
-    is the still-unfolded map graphs[i] -> codomain.  Composing all move
-    maps and tightening reproduces the input edge-image-for-edge-image.
+    is the still-unfolded map graphs[i] -> codomain.  Both, like each
+    move's map, are built through the validating constructors on first
+    read.  Composing all move maps and tightening reproduces the input
+    edge-image-for-edge-image.
     """
 
     def __init__(self, source_map, moves, graphs, residuals, fold_rounds):
         self.source_map = source_map
         self.moves = tuple(moves)
-        self.graphs = tuple(graphs)
-        self.residuals = tuple(residuals)
+        self.graphs = graphs
+        self.residuals = residuals
         # per fold: (index of the graph the round started from,
         #            move index of the fold, number of foldable turns seen)
         self.fold_rounds = tuple(fold_rounds)
@@ -146,16 +174,46 @@ def _common_prefix(p, q):
 
 
 class _State:
-    """Mutable decomposition state: current graph and residual map."""
+    """Mutable fold table: the current graph and residual map.
 
-    def __init__(self, resid: GraphMap, lam):
-        self.resid = resid
-        self.lam = lam
+    It holds the edge ends, the residual images of both orientations, the
+    end vertices of each direction, the directions at each vertex, the
+    vertex map, the subdivision flags and the foldable turns at each
+    vertex.  A move rewrites only the edges and vertices it touches, runs
+    the checks of the stage constructors that a move can break, and
+    records the stage, from which the graph, the residual and the move
+    map are built when read.
+    """
+
+    def __init__(self, g: GraphMap, lam):
+        dom = g.domain
+        self.source = g
+        self.cod = g.codomain
+        # the stages carry lengths only over a metric codomain with lam
+        self.lam = lam if self.cod.lengths is not None else None
+        self.ends = dict(dom.edge_ends)
+        self.img = {e: g.image(e) for e in dom.oriented}
+        self.init = {e: dom.init_vertex(e) for e in dom.oriented}
+        self.term = {e: dom.term_vertex(e) for e in dom.oriented}
+        self.at = {v: set(dom.directions_at(v)) for v in dom.vertices}
+        self.vmap = dict(g.vertex_map)
+        self.subdiv = set(dom.subdivision_vertices)
+        # the residual metric, over the stretch; the first move sets it
+        self.lengths = None
+        # vertex -> (number of foldable turns, least one), for the
+        # vertices not in `dirty`
+        self.turns = {}
+        self.dirty = set(self.at)
+        # per move: (images of the edges it changes, (merged, kept) vertex)
+        self.changes = []
+        # per stage after the first: (edge ends, images, vertex map,
+        # subdivision flags, lengths)
+        self.stages = [None]
         self.counter = itertools.count(1)
         # fresh names must dodge everything ever seen, or a later fold
         # could silently overwrite a surviving edge
-        self.used_edges = set(resid.domain.pairs) | set(resid.codomain.pairs)
-        self.used_vertices = set(resid.domain.vertices) | set(resid.codomain.vertices)
+        self.used_edges = set(dom.pairs) | set(self.cod.pairs)
+        self.used_vertices = set(dom.vertices) | set(self.cod.vertices)
 
     def _fresh_pieces(self, e):
         while True:
@@ -174,35 +232,75 @@ class _State:
                 self.used_edges.add(name)
                 return name
 
-    @property
-    def graph(self):
-        return self.resid.domain
-
-    def _metric(self, edge_ends, images):
-        cod = self.resid.codomain
-        if cod.lengths is None or self.lam is None:
-            return None
-        # lengths are always the residual image length over the stretch,
-        # so folds are isometric and nothing drifts
-        return {e: cod.path_length(images[e]) / self.lam for e in edge_ends}
-
-    def _rebuild(self, edge_ends, images, vmap, subdivision_vertices):
-        lengths = self._metric(edge_ends, images)
-        graph = MarkedGraph(edge_ends, lengths=lengths,
-                            subdivision_vertices=subdivision_vertices)
-        return GraphMap(graph, self.resid.codomain, vmap, images)
+    def _turns_at(self, v):
+        by_letter = {}
+        for d in sorted(self.at[v]):
+            by_letter.setdefault(self.img[d][0], []).append(d)
+        count, least = 0, None
+        for ds in by_letter.values():
+            count += len(ds) * (len(ds) - 1) // 2
+            if len(ds) > 1 and (least is None or (ds[0], ds[1]) < least):
+                least = (ds[0], ds[1])
+        return count, least
 
     def foldable_turns(self):
-        out = []
-        g = self.resid
-        for v in sorted(self.graph.vertices):
-            dirs = self.graph.directions_at(v)
-            for i in range(len(dirs)):
-                for j in range(i + 1, len(dirs)):
-                    if g.image(dirs[i])[0] == g.image(dirs[j])[0]:
-                        out.append((dirs[i], dirs[j]))
-        out.sort()
-        return out
+        """(number of foldable turns, the least of them)."""
+        for v in self.dirty:
+            self.turns[v] = self._turns_at(v)
+        self.dirty.clear()
+        count = sum(n for n, _ in self.turns.values())
+        least = min((t for n, t in self.turns.values() if n), default=None)
+        return count, least
+
+    def _remove_edge(self, e):
+        r = rev_edge(e)
+        self.at[self.init[e]].remove(e)
+        self.at[self.init[r]].remove(r)
+        for x in (e, r):
+            del self.img[x], self.init[x], self.term[x]
+        del self.ends[e]
+        if self.lengths is not None:
+            del self.lengths[e]
+
+    def _add_edge(self, e, u, v, img, rimg):
+        r = rev_edge(e)
+        self.ends[e] = (u, v)
+        self.img[e], self.img[r] = img, rimg
+        self.init[e], self.init[r] = u, v
+        self.term[e], self.term[r] = v, u
+        self.at[u].add(e)
+        self.at[v].add(r)
+
+    def _commit(self, new_edges, changed, merge):
+        """Check the table after a move, record the new stage, and return
+        the builder of the move's map.
+
+        The graph checks run whole, as they cost O(V + E).  The image
+        checks run on the new edges only: every other edge keeps its image
+        over the same codomain, and fold() refuses to merge vertices with
+        distinct images, so its endpoints keep theirs.
+        """
+        check_incidence(self.at, self.term, self.subdiv)
+        if self.lam is not None:
+            if self.lengths is None:
+                self.lengths = {}
+                new_edges = tuple(self.ends)
+            # the residual image length over the stretch, so folds are
+            # isometric and nothing drifts
+            for e in new_edges:
+                x = self.cod.path_length(self.img[e]) / self.lam
+                if not x > 0:
+                    raise InvalidGraphError(f"edge {e} has non-positive length")
+                self.lengths[e] = x
+        for e in sorted(new_edges):
+            u, v = self.ends[e]
+            check_image(self.cod, e, self.img[e], self.vmap[u], self.vmap[v])
+        self.changes.append((changed, merge))
+        self.stages.append((
+            dict(self.ends), {e: self.img[e] for e in self.ends},
+            dict(self.vmap), frozenset(self.subdiv),
+            None if self.lengths is None else dict(self.lengths)))
+        return functools.partial(self._move_map, len(self.changes) - 1)
 
     def subdivide(self, d, keep):
         """Split the edge of direction d so its first `keep` image edges
@@ -210,103 +308,90 @@ class _State:
         `piece` is the direction with image img(d)[:keep] and `other` the
         direction of the remaining piece seen from the far endpoint."""
         e = base_label(d)
-        img = self.resid.image(e)
+        img, rimg = self.img[e], self.img[rev_edge(e)]
         n = len(img)
         split = keep if d == e else n - keep
         if not 0 < split < n:
             raise DecompositionError(f"bad split of {e} at {split}")
         e1, e2, w = self._fresh_pieces(e)
+        u, v = self.ends[e]
+        # the split length is recorded when the graph being split has lengths
+        had_lengths = (self.lengths is not None if len(self.stages) > 1
+                       else self.source.domain.lengths is not None)
 
-        ends = dict(self.graph.edge_ends)
-        u, v = ends.pop(e)
-        ends[e1] = (u, w)
-        ends[e2] = (w, v)
-        images = {x: self.resid.image(x) for x in self.graph.pairs if x != e}
-        images[e1] = img[:split]
-        images[e2] = img[split:]
-        vmap = dict(self.resid.vertex_map)
-        vmap[w] = self.resid.codomain.term_vertex(img[split - 1])
-        subdiv = set(self.graph.subdivision_vertices) | {w}
+        self._remove_edge(e)
+        self.at[w] = set()
+        # both orientations of the pieces are slices: nothing is reversed
+        self._add_edge(e1, u, w, img[:split], rimg[n - split:])
+        self._add_edge(e2, w, v, img[split:], rimg[:n - split])
+        self.vmap[w] = self.cod.term_vertex(img[split - 1])
+        self.subdiv.add(w)
+        self.dirty.update((u, v, w))
+        build = self._commit((e1, e2), {e: (e1, e2)}, None)
 
-        move_images = {x: (x,) for x in self.graph.pairs if x != e}
-        move_images[e] = (e1, e2)
-        new_resid = self._rebuild(ends, images, vmap, subdiv)
-        move_map = GraphMap(self.graph, new_resid.domain,
-                            {x: x for x in self.graph.vertices}, move_images)
         split_length = None
-        if self.graph.lengths is not None:
-            split_length = new_resid.domain.lengths[e1]
-        move = FoldMove(SUBDIVIDE, move_map, edge=e, split_index=split,
+        if had_lengths and self.lengths is not None:
+            split_length = self.lengths[e1]
+        move = FoldMove(SUBDIVIDE, build, edge=e, split_index=split,
                         split_length=split_length)
-        self.resid = new_resid
         if d == e:
             return move, e1, rev_edge(e2)
         return move, rev_edge(e2), e1
 
     def fold(self, p1, p2, turn, prefix, consumed):
         """Identify directions p1, p2 (equal residual images) into one edge."""
-        g = self.graph
-        v = g.init_vertex(p1)
-        if g.init_vertex(p2) != v:
+        v = self.init[p1]
+        if self.init[p2] != v:
             raise DecompositionError("fold directions must share a vertex")
-        if base_label(p1) == base_label(p2):
-            raise DecompositionError("self-folds must be subdivided first")
-        t1, t2 = g.term_vertex(p1), g.term_vertex(p2)
-        fresh = self._fresh_fold_edge()
-
-        if t1 == t2:
-            q = {x: x for x in g.vertices}
-        else:
-            keep = min(t1, t2)
-            q = {x: keep if x in (t1, t2) else x for x in g.vertices}
-
         b1, b2 = base_label(p1), base_label(p2)
-        ends = {}
-        for e, (u, w) in g.edge_ends.items():
-            if e in (b1, b2):
-                continue
-            ends[e] = (q[u], q[w])
-        ends[fresh] = (q[v], q[t1])
-
-        images = {e: self.resid.image(e) for e in g.pairs if e not in (b1, b2)}
-        images[fresh] = prefix
-        vmap = {}
-        for x in g.vertices:
-            vmap.setdefault(q[x], self.resid.vertex_map[x])
-            if vmap[q[x]] != self.resid.vertex_map[x]:
+        if b1 == b2:
+            raise DecompositionError("self-folds must be subdivided first")
+        t1, t2 = self.term[p1], self.term[p2]
+        fresh = self._fresh_fold_edge()
+        merge = None
+        if t1 != t2:
+            if self.vmap[t1] != self.vmap[t2]:
                 raise DecompositionError("fold merged vertices with distinct images")
+            merge = (max(t1, t2), min(t1, t2))
 
-        # transient valence-2 vertices are legal mid-decomposition
-        probe = {}
-        for e, (u, w) in ends.items():
-            probe.setdefault(u, 0)
-            probe.setdefault(w, 0)
-            probe[u] += 1
-            probe[w] += 1
-        subdiv = ({q[x] for x in g.subdivision_vertices}
-                  | {x for x, val in probe.items() if val == 2})
-
-        move_images = {}
-        for e in g.pairs:
-            if e == b1:
-                move_images[e] = (fresh,) if p1 == b1 else (rev_edge(fresh),)
-            elif e == b2:
-                move_images[e] = (fresh,) if p2 == b2 else (rev_edge(fresh),)
-            else:
-                move_images[e] = (e,)
-        new_resid = self._rebuild(ends, images, vmap, subdiv)
-        move_map = GraphMap(g, new_resid.domain, q, move_images)
-        move = FoldMove(FOLD, move_map, turn=turn, prefix=prefix,
+        img, rimg = self.img[p1], self.img[rev_edge(p1)]
+        self._remove_edge(b1)
+        self._remove_edge(b2)
+        t = t1
+        if merge is not None:
+            gone, t = merge
+            for x in self.at.pop(gone):
+                self.init[x] = self.term[rev_edge(x)] = t
+                self.at[t].add(x)
+                a, b = self.ends[base_label(x)]
+                self.ends[base_label(x)] = (t if a == gone else a,
+                                            t if b == gone else b)
+            del self.vmap[gone]
+            if gone in self.subdiv:
+                self.subdiv.remove(gone)
+                self.subdiv.add(t)
+            self.turns.pop(gone, None)
+            self.dirty.discard(gone)
+            if v == gone:
+                v = t
+        self._add_edge(fresh, v, t, img, rimg)
+        # transient valence-2 vertices are legal mid-decomposition; only
+        # v and t changed valence
+        for x in (v, t):
+            if len(self.at[x]) == 2:
+                self.subdiv.add(x)
+        self.dirty.update((v, t))
+        changed = {b: (fresh,) if p == b else (rev_edge(fresh),)
+                   for p, b in ((p1, b1), (p2, b2))}
+        build = self._commit((fresh,), changed, merge)
+        return FoldMove(FOLD, build, turn=turn, prefix=prefix,
                         consumed=consumed)
-        self.resid = new_resid
-        return move
 
-    def finish(self):
-        """Verify the residual is a homeomorphism and wrap it as a move."""
-        g = self.resid
+    def finish(self, moves, fold_rounds):
+        """Verify the residual is a homeomorphism and return the sequence."""
         seen = {}
-        for e in g.domain.pairs:
-            img = g.image(e)
+        for e in sorted(self.ends):
+            img = self.img[e]
             if len(img) != 1:
                 raise DecompositionError(
                     f"residual is not a homeomorphism: {e} -> {img}")
@@ -315,11 +400,38 @@ class _State:
                 raise DecompositionError(
                     f"residual folds {seen[tgt]} and {e} onto {tgt}")
             seen[tgt] = e
-        if set(seen) != set(g.codomain.pairs):
+        if set(seen) != set(self.cod.pairs):
             raise DecompositionError("residual is not onto the codomain")
-        if sorted(g.vertex_map.values()) != sorted(g.codomain.vertices):
+        if sorted(self.vmap.values()) != sorted(self.cod.vertices):
             raise DecompositionError("residual is not a vertex bijection")
-        return FoldMove(HOMEOMORPHISM, g)
+        self.graphs = _Stages(self._graph, len(self.stages))
+        self.residuals = _Stages(self._residual, len(self.stages))
+        last = len(self.stages) - 1
+        moves.append(FoldMove(HOMEOMORPHISM, lambda: self.residuals[last]))
+        return FoldSequence(self.source, moves, self.graphs, self.residuals,
+                            fold_rounds)
+
+    # -- stage objects, built from the recorded stages when read ----------
+
+    def _graph(self, i):
+        if i == 0:
+            return self.source.domain
+        ends, _, _, subdiv, lengths = self.stages[i]
+        return MarkedGraph(ends, lengths=lengths, subdivision_vertices=subdiv)
+
+    def _residual(self, i):
+        if i == 0:
+            return self.source
+        _, images, vmap, _, _ = self.stages[i]
+        return GraphMap(self.graphs[i], self.cod, vmap, images)
+
+    def _move_map(self, i):
+        changed, merge = self.changes[i]
+        dom = self.graphs[i]
+        gone, kept = merge or (None, None)
+        return GraphMap(dom, self.graphs[i + 1],
+                        {x: kept if x == gone else x for x in dom.vertices},
+                        {e: changed.get(e, (e,)) for e in dom.pairs})
 
 
 def stallings_decomposition(g: GraphMap, lam=None) -> FoldSequence:
@@ -329,27 +441,27 @@ def stallings_decomposition(g: GraphMap, lam=None) -> FoldSequence:
     is given, the intermediate graphs are metrized by pushing the metric
     through the folds.  The canonical choice at each round is the least
     foldable turn; the number of candidates per round is recorded so
-    callers can certify uniqueness.
+    callers can certify uniqueness.  The folds run on one table updated
+    in place; the stage graphs, residuals and move maps are built only
+    when read.
     """
     for e in g.domain.pairs:
         if not g.image(e):
             raise PreconditionError("decomposition needs nonempty edge images")
     state = _State(g, lam)
     moves = []
-    graphs = [g.domain]
-    residuals = [g]
     fold_rounds = []
     cap = 10 * len(g.domain.pairs) * max(len(g.image(e)) for e in g.domain.pairs)
 
     while True:
-        turns = state.foldable_turns()
-        if not turns:
+        n_turns, least = state.foldable_turns()
+        if not n_turns:
             break
         if len(fold_rounds) >= cap:
             raise DecompositionError(f"no homeomorphism after {cap} folds")
-        d1, d2 = turns[0]
-        round_start = len(graphs) - 1
-        img1, img2 = state.resid.image(d1), state.resid.image(d2)
+        d1, d2 = least
+        round_start = len(moves)
+        img1, img2 = state.img[d1], state.img[d2]
 
         if d2 == rev_edge(d1):
             # folding a loop onto itself: the common prefix of the two
@@ -360,12 +472,8 @@ def stallings_decomposition(g: GraphMap, lam=None) -> FoldSequence:
                 raise DecompositionError("self-fold prefix reaches the midpoint")
             move, tail_piece, head_rest = state.subdivide(d2, len(prefix))
             moves.append(move)
-            graphs.append(state.graph)
-            residuals.append(state.resid)
             move, head_piece, _ = state.subdivide(head_rest, len(prefix))
             moves.append(move)
-            graphs.append(state.graph)
-            residuals.append(state.resid)
             p1, p2 = head_piece, tail_piece
             consumed = (False, False)
         else:
@@ -375,22 +483,14 @@ def stallings_decomposition(g: GraphMap, lam=None) -> FoldSequence:
             if not consumed[0]:
                 move, p1, _ = state.subdivide(d1, len(prefix))
                 moves.append(move)
-                graphs.append(state.graph)
-                residuals.append(state.resid)
             if not consumed[1]:
                 move, p2, _ = state.subdivide(d2, len(prefix))
                 moves.append(move)
-                graphs.append(state.graph)
-                residuals.append(state.resid)
-        move = state.fold(p1, p2, turn=(d1, d2), prefix=prefix,
-                          consumed=consumed)
-        moves.append(move)
-        graphs.append(state.graph)
-        residuals.append(state.resid)
-        fold_rounds.append((round_start, len(moves) - 1, len(turns)))
+        moves.append(state.fold(p1, p2, turn=(d1, d2), prefix=prefix,
+                                consumed=consumed))
+        fold_rounds.append((round_start, len(moves) - 1, n_turns))
 
-    moves.append(state.finish())
-    return FoldSequence(g, moves, graphs, residuals, fold_rounds)
+    return state.finish(moves, fold_rounds)
 
 
 def _normalized(graph: MarkedGraph) -> MarkedGraph:

@@ -420,8 +420,8 @@ def _cmd_signature(doc, args):
     report["bounds"]["nielsen_bound"] = args.bound
     try:
         sig = axes.axis_signature(doc.graph_map, np_bound=args.bound)
-    except InternalCheckError:
-        raise
+    except (InternalCheckError, PreconditionError):
+        raise  # a failed self-check or an input error, not a verdict
     except LoneAxisError as ex:
         report["verdicts"]["signature_defined"] = False
         report["values"]["reason"] = str(ex)

@@ -52,6 +52,42 @@ def is_tight(path) -> bool:
     return all(path[i + 1] != rev_edge(path[i]) for i in range(len(path) - 1))
 
 
+def check_incidence(at, term, subdivision_vertices):
+    """Connectivity and valence checks of a graph given by the directions
+    at each vertex and the terminal vertex of every oriented edge."""
+    seen = set()
+    stack = [next(iter(at))]
+    while stack:
+        v = stack.pop()
+        if v in seen:
+            continue
+        seen.add(v)
+        for e in at[v]:
+            stack.append(term[e])
+    if len(seen) != len(at):
+        raise InvalidGraphError("graph is not connected")
+    for v in sorted(at):
+        val = len(at[v])
+        if val < 2 or (val == 2 and v not in subdivision_vertices):
+            raise InvalidGraphError(
+                f"vertex {v} has valence {val} (needs >= 3, or a "
+                f"subdivision flag for valence 2)")
+
+
+def check_image(codomain, e, img, start, end):
+    """Checks of the image of edge e: nonempty, a tight path in the
+    codomain, from vertex `start` to vertex `end`."""
+    if not img:
+        raise InvalidMapError(f"edge {e} has empty image")
+    if not codomain.is_path(img):
+        raise InvalidMapError(f"image of {e} is not a path: {img}")
+    if not is_tight(img):
+        raise InvalidMapError(f"image of {e} is not tight: {img}")
+    if (codomain.init_vertex(img[0]) != start
+            or codomain.term_vertex(img[-1]) != end):
+        raise InvalidMapError(f"image of {e} does not respect endpoints")
+
+
 class MarkedGraph:
     """Finite connected graph with oriented edge pairs and optional lengths.
 
@@ -95,25 +131,7 @@ class MarkedGraph:
         self._validate()
 
     def _validate(self):
-        # connectivity
-        seen = set()
-        stack = [next(iter(self.vertices))]
-        while stack:
-            v = stack.pop()
-            if v in seen:
-                continue
-            seen.add(v)
-            for e in self._at[v]:
-                stack.append(self._term[e])
-        if seen != self.vertices:
-            raise InvalidGraphError("graph is not connected")
-        # valence
-        for v in sorted(self.vertices):
-            val = len(self._at[v])
-            if val < 2 or (val == 2 and v not in self.subdivision_vertices):
-                raise InvalidGraphError(
-                    f"vertex {v} has valence {val} (needs >= 3, or a "
-                    f"subdivision flag for valence 2)")
+        check_incidence(self._at, self._term, self.subdivision_vertices)
         # lengths
         if self.lengths is not None:
             if set(self.lengths) != set(self.pairs):
@@ -264,17 +282,9 @@ class GraphMap(DerivedStore):
             if w not in self.codomain.vertices:
                 raise InvalidMapError(f"vertex image {w} is not in the codomain")
         for e in self.domain.pairs:
-            img = self._images[e]
-            if not img:
-                raise InvalidMapError(f"edge {e} has empty image")
-            if not self.codomain.is_path(img):
-                raise InvalidMapError(f"image of {e} is not a path: {img}")
-            if not is_tight(img):
-                raise InvalidMapError(f"image of {e} is not tight: {img}")
-            u, v = self.domain.init_vertex(e), self.domain.term_vertex(e)
-            if (self.codomain.init_vertex(img[0]) != self.vertex_map[u]
-                    or self.codomain.term_vertex(img[-1]) != self.vertex_map[v]):
-                raise InvalidMapError(f"image of {e} does not respect endpoints")
+            check_image(self.codomain, e, self._images[e],
+                        self.vertex_map[self.domain.init_vertex(e)],
+                        self.vertex_map[self.domain.term_vertex(e)])
 
     def image(self, e):
         return self._images[e]

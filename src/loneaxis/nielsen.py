@@ -82,6 +82,24 @@ def _fixed_directions(g):
             == g.domain.init_vertex(d)]
 
 
+def _ray_image(g, path, d, letters=None):
+    """g(path) for a path on the ray at direction d, as the concatenation
+    of edge images, stopped once it holds at least `letters` letters.
+
+    The ray is legal, so no junction of two images may cancel.
+    """
+    out = []
+    for e in path:
+        img = g.image(e)
+        if out and out[-1] == rev_edge(img[0]):
+            raise InternalCheckError(
+                f"the ray of direction {d} is not legal: its image cancels")
+        out.extend(img)
+        if letters is not None and len(out) >= letters:
+            break
+    return tuple(out)
+
+
 def _eigenray(g, d, bound):
     """Prefix of at most `bound` edges of the ray obtained by iterating g
     on a fixed direction, together with its image.
@@ -92,14 +110,14 @@ def _eigenray(g, d, bound):
     """
     ray = (d,)
     while len(ray) < bound:
-        grown = g.apply_path(ray)
+        grown = _ray_image(g, ray, d, letters=bound)
         if grown[:len(ray)] != ray:
             raise InternalCheckError(f"direction {d} does not extend its ray")
         if len(grown) == len(ray):
             break  # non-expanding direction; cannot feed a leg
         ray = grown
     ray = ray[:bound]
-    return ray, g.apply_path(ray)
+    return ray, _ray_image(g, ray, d)
 
 
 def _canonical(path):

@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,8 +12,8 @@ from loneaxis import cli
 from loneaxis.cli import (GraphMapDocument, parse_document,
                           serialize_document)
 
-from conftest import (build_corpus, dumbbell_instance, eight_petal_map,
-                      runaway_map)
+from conftest import (build_corpus, defect_map, dumbbell_instance,
+                      eight_petal_map, runaway_map)
 
 H_DOC = """\
 graph
@@ -297,6 +300,18 @@ class TestSubcommands:
             assert run([sub, str(p)]) == 3
             assert "beyond desk scale" in capsys.readouterr().err
 
+    def test_signature_precondition_is_input_error(self, tmp_path, capsys):
+        # a precondition failure is an input error, as in the other
+        # subcommands, not the negative verdict "signature undefined"
+        for name, g, reason in (("runaway", runaway_map(), "beyond desk scale"),
+                                ("defect", defect_map(), "affine check")):
+            p = tmp_path / f"{name}.doc"
+            p.write_text(serialize_document(GraphMapDocument(g)))
+            for sub in ("signature", "lone-axis"):
+                assert run([sub, str(p)]) == 3
+                captured = capsys.readouterr()
+                assert reason in captured.err and captured.out == ""
+
     def test_internal_check_exit(self, h_file, monkeypatch):
         def broken(*args, **kwargs):
             raise InternalCheckError("searches disagree")
@@ -305,6 +320,15 @@ class TestSubcommands:
         monkeypatch.setattr(cli.axes, "axis_signature", broken)
         assert run(["pnp", h_file]) == 4
         assert run(["signature", h_file]) == 4
+
+    def test_python_m_loneaxis(self, h_file):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "loneaxis", "check", h_file,
+             "--json"], capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["verdicts"]["train_track"] is True
 
     def test_stdin(self, capsys, monkeypatch):
         import io

@@ -1,0 +1,207 @@
+"""The in-place fold engine: the recorded decompositions, the stage objects
+built on read, and the cost of a decision that only needs the outcome."""
+
+import hashlib
+import itertools
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from loneaxis.errors import InvalidGraphError, LoneAxisError
+from loneaxis.graphs import (GraphMap, MarkedGraph, compose, power, rose,
+                             rose_map)
+from loneaxis import axes, spectral
+
+from conftest import (cubic_map, dumbbell_instance, eight_petal_map, fib_map,
+                      identity_map, rank4_map)
+
+
+def metrized(g):
+    """g on its eigenmetric graph, with its stretch, as fold_line folds it."""
+    pf = spectral.pf_data(spectral.transition_matrix(g))
+    graph = spectral.eigenmetric(g, pf)
+    return axes._with_graphs(g, graph, graph), pf.lam
+
+
+def theta_map():
+    """Two edges from u to a valence-2 vertex x with the same image, and a
+    loop at u: folding the two edges leaves x with valence 1."""
+    graph = MarkedGraph({"a": ("u", "x"), "b": ("u", "x"), "c": ("u", "u")},
+                        subdivision_vertices=("x",))
+    return GraphMap(graph, rose(["y", "z"]), {"u": "v0", "x": "v0"},
+                    {"a": ("y",), "b": ("y",), "c": ("z",)})
+
+
+CASES = {
+    "fib": lambda: (fib_map(), None),
+    "cubic": lambda: (cubic_map(), None),
+    "cubic6": lambda: (power(cubic_map(), 6), None),
+    "dumbbell": lambda: (dumbbell_instance(), None),
+    "rank4": lambda: (rank4_map(), None),
+    "eight": lambda: (eight_petal_map(), None),
+    "cubic_metric": lambda: metrized(cubic_map()),
+}
+
+# number of moves, the first 16 hex digits of the SHA-256 of to_json(),
+# and fold_rounds
+GOLDEN = {
+    "fib": (3, "23ed614293c747d2", ((0, 1, 1),)),
+    "cubic": (3, "ccc809ee7f60ebdd", ((0, 1, 1),)),
+    "cubic6": (13, "1882361ce0b6cea3",
+               ((0, 1, 1), (2, 3, 1), (4, 5, 1), (6, 7, 1), (8, 9, 1),
+                (10, 11, 1))),
+    "dumbbell": (11, "20fc0e9ffc5f1064",
+                 ((0, 1, 2), (2, 3, 2), (4, 5, 1), (6, 7, 1), (8, 9, 1))),
+    "rank4": (19, "56f2829eb9203e3e",
+              ((0, 2, 5), (3, 4, 3), (5, 6, 4), (7, 8, 2), (9, 9, 2),
+               (10, 11, 2), (12, 13, 2), (14, 15, 2), (16, 17, 1))),
+    "eight": (41, "bd06c715262e9569",
+              ((0, 1, 8), (2, 3, 6), (4, 5, 4), (6, 7, 4), (8, 9, 4),
+               (10, 11, 4), (12, 13, 5), (14, 16, 5), (17, 18, 3),
+               (19, 20, 4), (21, 22, 2), (23, 24, 2), (25, 26, 2),
+               (27, 27, 2), (28, 29, 2), (30, 31, 2), (32, 33, 1),
+               (34, 35, 1), (36, 37, 1), (38, 39, 1))),
+    "cubic_metric": (3, "f50428d3ecdb4ad6", ((0, 1, 1),)),
+}
+
+# maps that are not homotopy equivalences, and where their folding stops
+FAILURES = [
+    ({"a": "a", "b": "b a' b'"},
+     "DecompositionError", "residual folds a and b.1a.2b onto a"),
+    ({"a": "a a", "b": "b a"},
+     "DecompositionError", "residual folds a.1a and f3 onto a"),
+    ({"a": "a' b a", "b": "b"},
+     "DecompositionError", "residual folds a.1a.2b and b onto b"),
+    ({"a": "b b", "b": "b a'"},
+     "DecompositionError", "residual folds a.1b and f3 onto b"),
+    ({"a": "a a", "b": "a b a"},
+     "DecompositionError", "residual folds f3 and f5 onto a"),
+    ({"a": "b", "b": "b"},
+     "DecompositionError", "residual is not onto the codomain"),
+    ({"a": "b'", "b": "a' b' a", "c": "b' a' a'", "d": "b"},
+     "DecompositionError", "residual folds c.1b.6b and f7 onto a"),
+    ({"a": "c c b c'", "b": "b' c'", "c": "a' b b"},
+     "DecompositionError", "residual folds f10 and f6 onto b"),
+    ({"a": "b a'", "b": "a b' b' a'"},
+     "DecompositionError", "residual folds b.1b.3a and f2.4b onto b"),
+    ({"a": "a a", "b": "b"},
+     "DecompositionError", "residual is not a homeomorphism: a -> ('a', 'a')"),
+    ({"a": "a b a", "b": "b a b"}, "DecompositionError",
+     "residual is not a homeomorphism: a -> ('a', 'b', 'a')"),
+]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_recorded_decompositions(name):
+    g, lam = CASES[name]()
+    seq = axes.stallings_decomposition(g, lam=lam)
+    digest = hashlib.sha256(seq.to_json().encode()).hexdigest()[:16]
+    assert (len(seq.moves), digest, seq.fold_rounds) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("images,kind,message", FAILURES)
+def test_recorded_failures(images, kind, message):
+    with pytest.raises(LoneAxisError) as info:
+        axes.stallings_decomposition(rose_map(images))
+    assert (type(info.value).__name__, str(info.value)) == (kind, message)
+
+
+def test_fold_to_valence_one_fails_the_graph_check():
+    with pytest.raises(LoneAxisError) as info:
+        axes.stallings_decomposition(theta_map())
+    assert (type(info.value).__name__, str(info.value)) == (
+        "InvalidGraphError",
+        "vertex x has valence 1 (needs >= 3, or a subdivision flag for "
+        "valence 2)")
+
+
+def test_lengths_without_a_stretch_are_not_pushed_through():
+    g = fib_map()
+    graph = g.domain.with_lengths({"a": Fraction(1, 2), "b": Fraction(1, 2)})
+    seq = axes.stallings_decomposition(axes._with_graphs(g, graph, graph))
+    assert seq.to_json() == axes.stallings_decomposition(g).to_json()
+    assert seq.graphs[0] is graph and seq.graphs[1].lengths is None
+
+
+def brute_force_foldable_turns(resid):
+    dom = resid.domain
+    return sorted((d1, d2) for v in dom.vertices
+                  for d1, d2 in itertools.combinations(dom.directions_at(v), 2)
+                  if resid.image(d1)[0] == resid.image(d2)[0])
+
+
+def check_stages(g, lam=None):
+    seq = axes.stallings_decomposition(g, lam=lam)
+    assert len(seq.graphs) == len(seq.residuals) == len(seq.moves)
+    for i, resid in enumerate(seq.residuals):
+        assert resid.domain is seq.graphs[i]
+        assert resid == GraphMap(seq.graphs[i], seq.target, resid.vertex_map,
+                                 resid.edge_images())
+    for i, move in enumerate(seq.moves[:-1]):
+        assert move.map.domain is seq.graphs[i]
+        assert move.map.codomain is seq.graphs[i + 1]
+        assert compose(seq.residuals[i + 1], move.map) == seq.residuals[i]
+    assert seq.moves[-1].map is seq.residuals[-1]
+    assert seq.recompose() == g
+    for start, fold_idx, count in seq.fold_rounds:
+        turns = brute_force_foldable_turns(seq.residuals[start])
+        assert (count, seq.moves[fold_idx].turn) == (len(turns), turns[0])
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_stages_of_recorded_decompositions(name):
+    check_stages(*CASES[name]())
+
+
+@st.composite
+def positive_automorphisms(draw):
+    """Products of the elementary automorphisms x -> xy and x -> yx of a
+    rose, the kind of map the lone-axis decision folds."""
+    rank = draw(st.integers(2, 4))
+    letters = "abcd"[:rank]
+    g = identity_map(rank)
+    for x, y, right in draw(st.lists(st.tuples(
+            st.sampled_from(letters), st.sampled_from(letters),
+            st.booleans()), max_size=10)):
+        if x != y:
+            images = {l: (l,) for l in letters}
+            images[x] = (x, y) if right else (y, x)
+            g = compose(GraphMap(g.domain, g.domain, {"v0": "v0"}, images), g)
+    return g
+
+
+@settings(max_examples=60, deadline=None)
+@given(positive_automorphisms())
+def test_stages_of_automorphisms(g):
+    check_stages(g)
+
+
+@pytest.mark.xfail(strict=True, raises=InvalidGraphError,
+                   reason="folding leaves a valence-1 vertex, which is "
+                          "not pruned")
+def test_automorphism_composed_with_a_conjugation_folds():
+    # the automorphism a -> a b' a, b -> a followed by conjugation by b;
+    # a fold leaves the vertex with a single direction
+    axes.stallings_decomposition(rose_map({"a": "b a b' a b'",
+                                           "b": "b a b'"}))
+
+
+def test_decision_builds_no_object_per_move(monkeypatch):
+    # a corpus-size map: rank 5, 150 letters, 105 moves in its decomposition
+    g = rose_map({
+        "a": "aaeaceaeabaaeaaaeaadaaeaceaeabaaeaaaaeaceaeaba",
+        "b": "aeaceaeabaaeaceaaeaceaeabaaeaa",
+        "c": "aeace",
+        "d": "aaeaceaeabaaeaaaeaadaaeaceaeabaaeaaaeaceaeabaaeaceaaeaceae"
+             "abaaeaa",
+        "e": "aeaa"})
+    assert len(axes.stallings_decomposition(g).moves) > 100
+    built = []
+    for cls in (GraphMap, MarkedGraph):
+        def counted(self, *args, _init=cls.__init__, **kwargs):
+            built.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
+    assert axes.lone_axis_decision(g).overall == "not-lone-axis"
+    assert len(built) <= 10
