@@ -15,7 +15,8 @@ from .errors import (DecompositionError, InternalCheckError,
                      PreconditionError, UnknownAtBoundError)
 from .graphs import (GraphMap, MarkedGraph, apply_map, compose, power,
                      rev_edge, rev_path, rose, rose_map, tighten)
-from .isomorphism import GraphIsomorphism, are_isomorphic, canonical_encoding
+from .isomorphism import (GraphIsomorphism, are_isomorphic, canonical_encoding,
+                          canonical_form)
 from .spectral import (PFData, TransitionMatrix, dilatation, eigenmetric,
                        matrix_class, pf_data, transition_matrix)
 from .traintrack import (GateStructure, PeriodicStructure, direction_map,

@@ -1,12 +1,25 @@
-"""Isomorphism and canonical labeling of marked graphs.
+"""Isomorphism and canonical labeling of marked graphs and Whitehead graphs.
 
-An isomorphism is a vertex bijection plus an oriented-edge bijection
-commuting with reversal and endpoints (lengths matched within a
-tolerance when requested).  Labeling is canonicalized by
-individualization-refinement: vertices are colored, colors refined by
-neighbor multisets, and ties broken by branching on every member of the
-first non-singleton class.  Desk-scale graphs only; the search is
-capped.
+Both kinds of graph go through one individualization-refinement engine
+on vertices numbered in sorted-name order.  A vertex coloring is refined
+by each vertex's loop count and the multiset of its neighbors' colors
+until no class splits (a marked graph is a multigraph with loops; a
+Whitehead graph is simple), and ties are broken by branching on every
+member of the first class with more than one vertex.  Each leaf of the
+search is a discrete coloring, a labeling of the vertices by 0..n-1, and
+is encoded by the sorted end labels of the edges; two graphs are
+isomorphic iff their least leaf encodings are equal.
+
+A marked graph keeps every leaf of least encoding: the canonical turn
+encoding is a minimum over all of them, and an isomorphism that respects
+lengths may have to try each.  A Whitehead graph needs only the least
+encoding, so its search prunes by automorphisms (McKay and Piperno,
+*Practical graph isomorphism II*, 2014).  A leaf that encodes like the
+first leaf gives an automorphism; when that automorphism carries the
+first path onto the branch holding the leaf, the rest of the branch is
+dropped, and a child in the orbit of a child already explored is
+skipped.  A complete graph on n vertices then costs n leaves, not n!.
+Desk-scale graphs only; the search is capped at ``_LEAF_CAP`` leaves.
 """
 
 from __future__ import annotations
@@ -55,58 +68,143 @@ class GraphIsomorphism:
         return tuple(self.edge_map[e] for e in path)
 
 
-def _refine(graph, colors):
-    verts = sorted(graph.vertices)
+def _adjacency(n, edges):
+    loops = [0] * n
+    nbrs = [[] for _ in range(n)]
+    for a, b in edges:
+        if a == b:
+            loops[a] += 1
+        else:
+            nbrs[a].append(b)
+            nbrs[b].append(a)
+    return loops, nbrs
+
+
+def _refine(loops, nbrs, colors):
+    """Equitable refinement; each new color is the rank of the vertex's
+    (color, loops, neighbor colors) among the distinct such triples."""
+    classes = len(set(colors))
     while True:
-        sigs = {}
-        for v in verts:
-            loops = 0
-            nb = []
-            for e in graph.directions_at(v):
-                w = graph.term_vertex(e)
-                if w == v:
-                    loops += 1
-                else:
-                    nb.append(colors[w])
-            sigs[v] = (colors[v], loops, tuple(sorted(nb)))
-        ordered = sorted(set(sigs.values()))
-        index = {s: i for i, s in enumerate(ordered)}
-        new = {v: index[sigs[v]] for v in verts}
-        if new == colors:
+        sigs = [(colors[v], loops[v], tuple(sorted(map(colors.__getitem__, nbrs[v]))))
+                for v in range(len(colors))]
+        index = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        colors = [index[s] for s in sigs]
+        # a triple starts with the old color, so classes only split; when
+        # none split, the colors are already ranks and stay as they are
+        if len(index) == classes:
             return colors
-        colors = new
+        classes = len(index)
 
 
-def _leaf_orderings(graph):
-    """All discrete colorings reached by individualization-refinement.
+def _target_cell(colors):
+    """Members of the least color held by more than one vertex, or None.
 
-    Each leaf is a dict vertex -> rank in 0..n-1.
+    Refined colors are ranks, so they lie in 0..n-1."""
+    counts = [0] * len(colors)
+    for c in colors:
+        counts[c] += 1
+    for c, count in enumerate(counts):
+        if count > 1:
+            return [v for v, x in enumerate(colors) if x == c]
+    return None
+
+
+def _encode(edges, ranks):
+    return tuple(sorted((ranks[a], ranks[b]) if ranks[a] <= ranks[b]
+                        else (ranks[b], ranks[a]) for a, b in edges))
+
+
+def _orbits(n, generators):
+    """Orbit representative of each vertex under the generated group."""
+    root = list(range(n))
+
+    def find(x):
+        while root[x] != x:
+            root[x] = x = root[root[x]]
+        return x
+
+    for gen in generators:
+        for x, y in enumerate(gen):
+            rx, ry = find(x), find(y)
+            if rx != ry:
+                root[max(rx, ry)] = min(rx, ry)
+    return [find(x) for x in range(n)]
+
+
+def _leaves(n, edges, prune=False):
+    """Leaves of the individualization-refinement tree of the graph on
+    vertices 0..n-1 with the given edge list, as (encoding, ranks) pairs.
+
+    Without ``prune``, every leaf, depth first with children in vertex
+    order.  With ``prune``, a subset that holds a leaf of least encoding.
     """
-    leaves = []
+    loops, nbrs = _adjacency(n, edges)
+    leaves = []        # (encoding, ranks, individualized vertices)
+    automorphisms = []
 
-    def rec(colors):
+    def automorphism(leaf):
+        """Record the automorphism a leaf encoding like the first one
+        gives; return the depth of the first-path node to resume at when
+        it carries the first path onto this leaf's branch."""
+        enc, ranks, path = leaf
+        first_enc, first_ranks, first_path = leaves[0]
+        if enc != first_enc:
+            return None
+        at_rank = [0] * n
+        for v, r in enumerate(ranks):
+            at_rank[r] = v
+        gamma = [at_rank[r] for r in first_ranks]
+        automorphisms.append(gamma)
+        d = next(i for i, (u, v) in enumerate(zip(first_path, path)) if u != v)
+        if gamma[first_path[d]] == path[d] and all(gamma[u] == u for u in path[:d]):
+            return d
+        return None
+
+    def search(colors, path):
         if len(leaves) > _LEAF_CAP:
             raise InvalidGraphError("graph too symmetric for canonical labeling")
-        colors = _refine(graph, colors)
-        classes = defaultdict(list)
-        for v, c in colors.items():
-            classes[c].append(v)
-        target = None
-        for c in sorted(classes):
-            if len(classes[c]) > 1:
-                target = c
-                break
-        if target is None:
-            leaves.append(colors)
-            return
-        fresh = len(graph.vertices)
-        for v in sorted(classes[target]):
-            child = dict(colors)
-            child[v] = fresh
-            rec(child)
+        colors = _refine(loops, nbrs, colors)
+        cell = _target_cell(colors)
+        if cell is None:
+            leaves.append((_encode(edges, colors), colors, path))
+            return automorphism(leaves[-1]) if prune and len(leaves) > 1 else None
+        explored = []
+        known = 0
+        for v in cell:
+            if prune and explored and len(automorphisms) > known:
+                # automorphisms fixing the path map this node to itself and
+                # a child's subtree onto the subtree of the child's image
+                known = len(automorphisms)
+                orbit = _orbits(n, [g for g in automorphisms
+                                    if all(g[u] == u for u in path)])
+            if known and orbit[v] in {orbit[u] for u in explored}:
+                continue
+            child = list(colors)
+            child[v] = n
+            resume = search(child, path + (v,))
+            explored.append(v)
+            if resume is not None and resume < len(path):
+                return resume
+        return None
 
-    rec({v: 0 for v in graph.vertices})
-    return leaves
+    search([0] * n, ())
+    return [(enc, ranks) for enc, ranks, _ in leaves]
+
+
+def _format(n, encoding):
+    return f"v{n}:" + ",".join(f"{a}-{b}" for a, b in encoding)
+
+
+def _min_leaves(graph):
+    """Least encoding of a marked graph and every leaf that reaches it,
+    as dicts vertex -> rank."""
+    verts = sorted(graph.vertices)
+    index = {v: i for i, v in enumerate(verts)}
+    edges = [(index[graph.init_vertex(lbl)], index[graph.term_vertex(lbl)])
+             for lbl in graph.pairs]
+    leaves = _leaves(len(verts), edges)
+    best = min(enc for enc, _ in leaves)
+    return best, [dict(zip(verts, ranks)) for enc, ranks in leaves if enc == best]
 
 
 def _pair_type(graph, rank, lbl):
@@ -115,23 +213,27 @@ def _pair_type(graph, rank, lbl):
     return (a, b) if a <= b else (b, a)
 
 
-def _encode(graph, rank):
-    types = sorted(_pair_type(graph, rank, lbl) for lbl in graph.pairs)
-    return (len(graph.vertices), tuple(types))
-
-
-def _min_leaves(graph):
-    leaves = _leaf_orderings(graph)
-    encoded = [(_encode(graph, rank), rank) for rank in leaves]
-    best = min(enc for enc, _ in encoded)
-    return best, [rank for enc, rank in encoded if enc == best]
-
-
 def canonical_encoding(graph) -> str:
-    """Combinatorial isomorphism invariant, identical iff isomorphic."""
-    (n, types), _leaves = _min_leaves(graph)
-    body = ",".join(f"{a}-{b}" for a, b in types)
-    return f"v{n}:{body}"
+    """Combinatorial isomorphism invariant of a marked graph, identical
+    iff isomorphic."""
+    best, _ = _min_leaves(graph)
+    return _format(len(graph.vertices), best)
+
+
+def canonical_form(w) -> str:
+    """Canonical form of a Whitehead graph, equal iff the graphs are
+    isomorphic as simple graphs; vertex names are forgotten.
+
+    Computed once per graph and stored on it.
+    """
+    return w._derived("canonical_form", _canonical_form)
+
+
+def _canonical_form(w):
+    index = {v: i for i, v in enumerate(w.vertices)}
+    edges = [tuple(index[v] for v in edge) for edge in w.edges]
+    best = min(enc for enc, _ in _leaves(len(index), edges, prune=True))
+    return _format(len(index), best)
 
 
 def _match_edges(g1, r1, g2, r2, respect_lengths, length_tol):

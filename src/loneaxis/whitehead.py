@@ -12,11 +12,11 @@ Nielsen paths would glue components together.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
 
 from .errors import (InternalCheckError, NielsenPathPresentError,
                      PreconditionError, UnknownAtBoundError)
-from .graphs import GraphMap
+from .graphs import DerivedStore, GraphMap
+from .isomorphism import canonical_form
 from . import nielsen, traintrack
 
 LOCAL = "local"
@@ -24,10 +24,15 @@ STABLE = "stable"
 IDEAL = "ideal"
 
 
-class WhiteheadGraph:
-    """Finite simple graph on direction or gate labels."""
+class WhiteheadGraph(DerivedStore):
+    """Finite simple graph on direction or gate labels.
+
+    A graph never changes after construction; its canonical form
+    (``isomorphism.canonical_form``) is stored on it once computed.
+    """
 
     def __init__(self, flavor, vertices, edges):
+        self._store = {}
         self.flavor = flavor
         self.vertices = tuple(sorted(vertices))
         vset = set(self.vertices)
@@ -38,6 +43,11 @@ class WhiteheadGraph:
                 raise PreconditionError(f"bad Whitehead edge {sorted(edge)}")
             norm.add(pair)
         self.edges = frozenset(norm)
+        adj = {v: [] for v in self.vertices}
+        for a, b in norm:
+            adj[a].append(b)
+            adj[b].append(a)
+        self._adj = {v: tuple(sorted(nbrs)) for v, nbrs in adj.items()}
         if flavor == IDEAL:
             for comp in self.components():
                 if len(comp) < 3:
@@ -45,8 +55,7 @@ class WhiteheadGraph:
                         "ideal Whitehead graph kept a component with < 3 vertices")
 
     def neighbors(self, v):
-        return sorted(w for edge in self.edges if v in edge
-                      for w in edge if w != v)
+        return list(self._adj[v])
 
     def components(self):
         remaining = set(self.vertices)
@@ -57,7 +66,7 @@ class WhiteheadGraph:
             stack = [start]
             while stack:
                 v = stack.pop()
-                for w in self.neighbors(v):
+                for w in self._adj[v]:
                     if w not in comp:
                         comp.add(w)
                         stack.append(w)
@@ -73,7 +82,7 @@ class WhiteheadGraph:
 def cut_vertices(w: WhiteheadGraph) -> frozenset:
     """Articulation points: vertices whose removal disconnects their
     component.  Iterative depth-first lowlink computation."""
-    adj = {v: w.neighbors(v) for v in w.vertices}
+    adj = w._adj
     disc, low, parent = {}, {}, {}
     result = set()
     counter = 0
@@ -113,21 +122,15 @@ def cut_vertices(w: WhiteheadGraph) -> frozenset:
 
 
 def whitehead_isomorphic(w1: WhiteheadGraph, w2: WhiteheadGraph) -> bool:
-    """Simple-graph isomorphism by degree-pruned backtracking over
-    permutations; fine at Whitehead graph scale."""
+    """Simple-graph isomorphism: vertex counts, edge counts and degree
+    sequences first, then the canonical forms, which are computed once
+    per graph by pruned individualization-refinement."""
     if len(w1.vertices) != len(w2.vertices) or len(w1.edges) != len(w2.edges):
         return False
-    deg1 = sorted(len(w1.neighbors(v)) for v in w1.vertices)
-    deg2 = sorted(len(w2.neighbors(v)) for v in w2.vertices)
-    if deg1 != deg2:
+    if (sorted(len(n) for n in w1._adj.values())
+            != sorted(len(n) for n in w2._adj.values())):
         return False
-    vs1 = sorted(w1.vertices, key=lambda v: (-len(w1.neighbors(v)), v))
-    for perm in permutations(sorted(w2.vertices)):
-        m = dict(zip(vs1, perm))
-        if all(len(w1.neighbors(v)) == len(w2.neighbors(m[v])) for v in vs1):
-            if {frozenset((m[a], m[b])) for a, b in w1.edges} == w2.edges:
-                return True
-    return False
+    return canonical_form(w1) == canonical_form(w2)
 
 
 def _gate_id(gate):
@@ -186,7 +189,14 @@ def ideal_whitehead_graph(g: GraphMap, bound: int = nielsen.DEFAULT_BOUND,
     """Disjoint union of stable graphs over principal vertices, keeping
     only components with at least three vertices.
 
-    Valid for NP-free rotationless representatives; NPs raise."""
+    Valid for NP-free rotationless representatives; NPs raise.  Stored
+    on g per bound, so every caller shares one graph and its canonical
+    form."""
+    return g._derived(("ideal_whitehead_graph", bound),
+                      lambda g: _ideal_whitehead_graph(g, bound, nielsen_report))
+
+
+def _ideal_whitehead_graph(g, bound, nielsen_report):
     _np_certified(g, bound, nielsen_report)
     ps = traintrack.periodic_structure(g, nielsen_free=True)
     vertices = []
