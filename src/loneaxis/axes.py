@@ -10,6 +10,12 @@ train track representative sweeps out a periodic line through the space
 of volume-1 marked metric graphs; on lone-axis input the foldable turn
 is unique at every stage, which makes the record of the decomposition a
 canonical cyclic word usable as a conjugacy invariant.
+
+The lone-axis decision only needs to know that its input is a homotopy
+equivalence, which it checks without recording a decomposition: the
+edge images are folded in one pass with union-find, and the map is an
+automorphism iff the folded graph is the codomain and the rank does not
+drop (Stallings 1983).
 """
 
 from __future__ import annotations
@@ -608,11 +614,95 @@ def _rotationless_power(g):
     return power(g, k), k
 
 
+def _fold_edge_images(g: GraphMap):
+    """Stallings fold of the domain subdivided at every interior letter of
+    the edge images, with union-find (Kapovich-Myasnikov 2002).
+
+    Node i is a domain vertex or a point between two consecutive letters
+    of an edge image, and ``labels[i]`` is the codomain vertex it maps
+    to; consecutive nodes are linked by their letter, both ways.  Two
+    links that leave one class by the same letter queue a merge of their
+    targets, and a merge folds the smaller out-table into the larger.
+    Returns the labels, the union-find parents, and per root the map from
+    a letter to a node of the class it leads to.
+    """
+    dom, cod = g.domain, g.codomain
+    vertices = sorted(dom.vertices)
+    index = {v: i for i, v in enumerate(vertices)}
+    labels = [g.vertex_map[v] for v in vertices]
+    out = [{} for _ in labels]
+    pending = []
+
+    def link(u, x, w):
+        t = out[u].setdefault(x, w)
+        if t != w:
+            pending.append((t, w))
+
+    for e in dom.pairs:
+        img = g.image(e)
+        u = index[dom.init_vertex(e)]
+        for x in img[:-1]:
+            w = len(labels)
+            labels.append(cod.term_vertex(x))
+            out.append({})
+            link(u, x, w)
+            link(w, rev_edge(x), u)
+            u = w
+        w = index[dom.term_vertex(e)]
+        link(u, img[-1], w)
+        link(w, rev_edge(img[-1]), u)
+
+    parent = list(range(len(labels)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    while pending:
+        a, b = pending.pop()
+        a, b = find(a), find(b)
+        if a == b:
+            continue
+        if labels[a] != labels[b]:
+            raise InternalCheckError(
+                f"fold merged nodes over codomain vertices {labels[a]} "
+                f"and {labels[b]}")
+        if len(out[a]) < len(out[b]):
+            a, b = b, a
+        parent[b] = a
+        for x, t in out[b].items():
+            s = out[a].setdefault(x, t)
+            if s != t:
+                pending.append((s, t))
+        out[b] = None
+    return labels, parent, out
+
+
 def _is_homotopy_equivalence(g):
-    # folding to a homeomorphism is exactly the homotopy equivalence
-    # test; injective-but-not-surjective endomorphisms fail here.  Only
-    # the outcome is kept, not the fold sequence.
-    stallings_decomposition(g)
+    # Stallings: g is onto on pi_1 iff its folded edge images are the
+    # codomain itself, and a free group of finite rank is Hopfian, so
+    # with equal ranks onto means an isomorphism
+    labels, parent, out = _fold_edge_images(g)
+    roots = [i for i, p in enumerate(parent) if p == i]
+    edges = sum(len(out[i]) for i in roots) // 2
+    cod = g.codomain
+    missed = cod.vertices - {labels[i] for i in roots}
+    witness = None
+    if (len(roots), edges) != (len(cod.vertices), len(cod.pairs)):
+        witness = (f"its folded edge images have {len(roots)} vertices and "
+                   f"{edges} edges, the codomain {len(cod.vertices)} and "
+                   f"{len(cod.pairs)}")
+    elif missed:
+        witness = (f"its folded edge images miss the codomain vertices "
+                   f"{sorted(missed)}")
+    elif g.domain.rank() != cod.rank():
+        witness = f"the rank drops from {g.domain.rank()} to {cod.rank()}"
+    if witness:
+        raise PreconditionError(
+            f"[homotopy-equivalence] the map does not represent an "
+            f"automorphism: {witness}")
     return True
 
 
@@ -624,8 +714,9 @@ def lone_axis_decision(g: GraphMap, np_bound: int = nielsen.DEFAULT_BOUND,
                        fully_irreducible_asserted: bool = False) -> LoneAxisReport:
     """Decide whether the axis bundle is a single periodic fold line.
 
-    Pipeline: verify the train track property and primitivity, pass to
-    the rotationless power, certify NP-freeness, then test the two
+    Pipeline: verify the train track property and primitivity, check
+    that the map is a homotopy equivalence by folding its edge images,
+    pass to the rotationless power, certify NP-freeness, then test the two
     conditions: rotationless index equal to 3/2 - r, and no cut vertex
     in any component of the ideal Whitehead graph.  Full irreducibility
     is the caller's assertion; without it a positive answer is reported
@@ -641,12 +732,7 @@ def lone_axis_decision(g: GraphMap, np_bound: int = nielsen.DEFAULT_BOUND,
         raise PreconditionError(
             "[spectral] transition matrix is not primitive, so the map "
             "cannot represent a fully irreducible automorphism")
-    try:
-        g._derived("homotopy_equivalence", _is_homotopy_equivalence)
-    except DecompositionError as ex:
-        raise PreconditionError(
-            f"[homotopy-equivalence] the map does not represent an "
-            f"automorphism: {ex}") from ex
+    g._derived("homotopy_equivalence", _is_homotopy_equivalence)
     grot, exponent = rotationless_power(g)
     try:
         np_report = nielsen.find_nielsen_paths(grot, np_bound)

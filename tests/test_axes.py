@@ -274,8 +274,8 @@ class TestConjugatePowerCheck:
         assert verdict.powers == (1, 1)
 
     def test_non_automorphism_rejected(self):
-        # injective endomorphism with abelianization determinant 2; the
-        # fold decomposition cannot end in a homeomorphism
+        # injective endomorphism with abelianization determinant 2; its
+        # folded edge images are not the rose
         bad = rose_map({"a": "aab", "b": "a'c", "c": "b'"})
         with pytest.raises(PreconditionError, match="homotopy-equivalence"):
             axes.lone_axis_decision(bad, np_bound=16)

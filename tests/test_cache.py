@@ -111,6 +111,7 @@ def test_stages_computed_once_per_map(monkeypatch):
     for module, name in ((traintrack, "_gates"), (spectral, "_pf_data"),
                          (nielsen, "_find_nielsen_paths"),
                          (nielsen, "brute_force_nielsen_paths"),
+                         (axes, "_is_homotopy_equivalence"),
                          (axes, "stallings_decomposition")):
         counted(module, name)
     g = power(cubic_map(), 2)
@@ -118,12 +119,13 @@ def test_stages_computed_once_per_map(monkeypatch):
         axes.axis_signature(g, np_bound=6)
         nielsen.find_nielsen_paths(grot(g), 6)
     # gates of g and of its rotationless power; one search per map and
-    # bound, but the oracle on each of the six calls at bound 6; one fold
-    # sequence for the homotopy equivalence check and one for the
-    # signature's records
+    # bound, but the oracle on each of the six calls at bound 6; one
+    # homotopy equivalence check of g, which records no fold sequence, and
+    # one fold sequence for the signature's records
     assert counts == {"_gates": 2, "_pf_data": 2, "_find_nielsen_paths": 1,
                       "brute_force_nielsen_paths": 6,
-                      "stallings_decomposition": 2}
+                      "_is_homotopy_equivalence": 1,
+                      "stallings_decomposition": 1}
 
 
 def relabeled_cubic_powers():

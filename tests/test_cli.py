@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from loneaxis.errors import InternalCheckError, ParseError
+from loneaxis.graphs import rose_map
 from loneaxis import cli
 from loneaxis.cli import (GraphMapDocument, parse_document,
                           serialize_document)
@@ -311,6 +312,20 @@ class TestSubcommands:
                 assert run([sub, str(p)]) == 3
                 captured = capsys.readouterr()
                 assert reason in captured.err and captured.out == ""
+
+    def test_non_automorphism_is_input_error(self, tmp_path, capsys):
+        # a primitive train track map with abelianization determinant 2
+        p = tmp_path / "double.doc"
+        p.write_text(serialize_document(GraphMapDocument(
+            rose_map({"a": "aab", "b": "a'c", "c": "b'"}))))
+        for argv in (["lone-axis", str(p), "--json"], ["signature", str(p)]):
+            assert run(argv) == 3
+            captured = capsys.readouterr()
+            assert captured.err == (
+                "error: [homotopy-equivalence] the map does not represent an "
+                "automorphism: its folded edge images have 2 vertices and 4 "
+                "edges, the codomain 1 and 3\n")
+            assert captured.out == ""
 
     def test_internal_check_exit(self, h_file, monkeypatch):
         def broken(*args, **kwargs):

@@ -1,16 +1,18 @@
-"""The in-place fold engine: the recorded decompositions, the stage objects
-built on read, and the cost of a decision that only needs the outcome."""
+"""The in-place fold engine: the recorded decompositions and the stage
+objects built on read; the union-find homotopy equivalence check, which
+agrees with it and records nothing; and the cost of a decision."""
 
 import hashlib
 import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from loneaxis.errors import InvalidGraphError, LoneAxisError
+from loneaxis.errors import (DecompositionError, InvalidGraphError,
+                             LoneAxisError, PreconditionError)
 from loneaxis.graphs import (GraphMap, MarkedGraph, compose, power, rose,
-                             rose_map)
+                             rose_map, tighten)
 from loneaxis import axes, spectral
 
 from conftest import (cubic_map, dumbbell_instance, eight_petal_map, fib_map,
@@ -177,6 +179,86 @@ def test_stages_of_automorphisms(g):
     check_stages(g)
 
 
+def homotopy_equivalence(g):
+    """The decision's check: True, or the message it rejects g with."""
+    try:
+        return axes._is_homotopy_equivalence(g)
+    except PreconditionError as ex:
+        return str(ex)
+
+
+def folds_to_homeomorphism(g):
+    """The fold engine's outcome, or None where it hits the valence-1
+    defect of test_automorphism_composed_with_a_conjugation_folds."""
+    try:
+        axes.stallings_decomposition(g)
+    except DecompositionError:
+        return False
+    except InvalidGraphError:
+        return None
+    return True
+
+
+@st.composite
+def rose_maps(draw):
+    """Self-maps of a rose with short random tight images; most of them
+    are not automorphisms."""
+    letters = "abc"[:draw(st.integers(2, 3))]
+    oriented = [x + p for x in letters for p in ("", "'")]
+    images = {x: tighten(draw(st.lists(st.sampled_from(oriented),
+                                       min_size=1, max_size=6)))
+              for x in letters}
+    assume(all(images.values()))
+    return rose_map(images)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_check_accepts_recorded_decompositions(name):
+    assert homotopy_equivalence(CASES[name]()[0]) is True
+
+
+@pytest.mark.parametrize("images", [images for images, _, _ in FAILURES])
+def test_check_rejects_recorded_failures(images):
+    assert homotopy_equivalence(rose_map(images)).startswith(
+        "[homotopy-equivalence] the map does not represent an automorphism: "
+        "its folded edge images have ")
+
+
+@pytest.mark.parametrize("g,witness", [
+    (theta_map(), "its folded edge images have 2 vertices and 2 edges, "
+                  "the codomain 1 and 2"),
+    # the letters read from x1 and x2 never meet, so nothing folds onto w
+    (GraphMap(MarkedGraph({"p": ("x1", "x1"), "q": ("x2", "x2"),
+                           "r": ("x1", "x2"), "s": ("x2", "x1")}),
+              MarkedGraph({"a": ("u", "u"), "b": ("u", "u"),
+                           "c": ("u", "w"), "d": ("w", "w")}),
+              {"x1": "u", "x2": "u"},
+              {"p": ("a",), "q": ("a",), "r": ("b",), "s": ("b",)}),
+     "its folded edge images miss the codomain vertices ['w']"),
+    (GraphMap(rose(["a", "b", "c"]), rose(["y", "z"]), {"v0": "v0"},
+              {"a": ("y",), "b": ("z",), "c": ("y", "z")}),
+     "the rank drops from 3 to 2"),
+])
+def test_check_names_its_witness(g, witness):
+    assert homotopy_equivalence(g) == (
+        "[homotopy-equivalence] the map does not represent an "
+        f"automorphism: {witness}")
+
+
+def test_check_accepts_an_automorphism_the_fold_engine_rejects():
+    g = rose_map({"a": "b a b' a b'", "b": "b a b'"})
+    assert folds_to_homeomorphism(g) is None
+    assert homotopy_equivalence(g) is True
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(positive_automorphisms(), rose_maps()))
+def test_check_agrees_with_the_fold_engine(g):
+    folds = folds_to_homeomorphism(g)
+    assume(folds is not None)
+    assert (homotopy_equivalence(g) is True) == folds
+
+
 @pytest.mark.xfail(strict=True, raises=InvalidGraphError,
                    reason="folding leaves a valence-1 vertex, which is "
                           "not pruned")
@@ -203,5 +285,19 @@ def test_decision_builds_no_object_per_move(monkeypatch):
             built.append(type(self).__name__)
             _init(self, *args, **kwargs)
         monkeypatch.setattr(cls, "__init__", counted)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the decision recorded a fold decomposition")
+    monkeypatch.setattr(axes, "stallings_decomposition", refuse)
+    nodes = []
+
+    def fold(h, _fold=axes._fold_edge_images):
+        labels, parent, out = _fold(h)
+        nodes.append(len(labels))
+        return labels, parent, out
+    monkeypatch.setattr(axes, "_fold_edge_images", fold)
     assert axes.lone_axis_decision(g).overall == "not-lone-axis"
     assert len(built) <= 10
+    # one node per domain vertex and per interior letter of an edge image
+    assert nodes == [sum(len(g.image(e)) - 1 for e in g.domain.pairs)
+                     + len(g.domain.vertices)] == [146]
