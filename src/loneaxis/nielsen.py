@@ -7,9 +7,18 @@ two legal legs joined at an illegal turn, and each leg is a prefix of
 the ray swept out by iterating the map on a fixed direction.  The map
 sends a leg R[:i] to R[:i] followed by a tail of the same ray, and two
 legs that meet at a tight turn degenerating in one step form an NP
-exactly when their tails agree, so the search matches legs by tail.  A
-brute-force enumeration over all tight paths doubles as an independent
-oracle at small bounds.
+exactly when their tails agree, so the search matches legs by tail.
+
+A brute-force enumeration over tight paths doubles as an independent
+oracle at small bounds, pruned by free reduction alone.  Take a path p
+of l edges with tightened image I, and let M be the longest edge image.
+An extension q of at most bound - l edges has |g#(q)| <= (bound - l) M,
+and tightening I . g#(q) cancels at most that many letters of I, so
+I[:m] with m = |I| - (bound - l) M is a prefix of g#(p q).  A fixed
+p q equals its image, has at most `bound` edges and starts with p, so
+no extension of p is fixed when m > bound, or when m > 0 and I and p
+differ in their first min(m, l) edges.  No train track theory enters,
+so the oracle stays independent of the search it checks.
 """
 
 from __future__ import annotations
@@ -205,58 +214,49 @@ def _concatenations(g, inps, max_len):
 
 
 def brute_force_nielsen_paths(g, bound):
-    """Independent oracle: enumerate every tight path of <= bound edges
-    between fixed vertices and keep those fixed by the tightened map.
+    """Independent oracle: every tight path of <= bound edges between
+    fixed vertices that the tightened map fixes.
 
-    No structure theory is used; exponential in the bound.
+    A depth-first walk over tight paths, pruned by free reduction alone
+    (module docstring): every extension of p keeps I[:m] in its image,
+    I = g#(p), m = |I| - (bound - |p|) M, M the longest edge image, so
+    p is cut when m > bound, or when m > 0 and I and p differ in their
+    first min(m, |p|) edges.  Still exponential in the bound.  The walk
+    codes an edge pair as 2i and 2i + 1, so reversal is x ^ 1.
     """
+    if bound < 1:
+        raise PreconditionError("bound must be a positive integer")
     _require_rotationless_tt(g)
     dom = g.domain
-    fixed_vertices = sorted(v for v in dom.vertices if g.vertex_map[v] == v)
+    labels = [x for e in dom.pairs for x in (e, rev_edge(e))]
+    code = {e: i for i, e in enumerate(labels)}
+    images = [tuple(code[x] for x in g.image(e)) for e in labels]
+    longest = max(map(len, images))
+    fixed = {v for v in dom.vertices if g.vertex_map[v] == v}
+    closes = [dom.term_vertex(e) in fixed for e in labels]
+    nexts = [[code[d] for d in dom.directions_at(dom.term_vertex(e))
+              if d != rev_edge(e)] for e in labels]
     results = set()
 
-    for v0 in fixed_vertices:
-        path = []
-        image = []
-        undo = []  # (popped suffix, appended count) per depth
+    def visit(path, image):
+        n, e = len(path), path[-1]
+        m = len(image) - (bound - n) * longest
+        k = min(m, n)
+        if m > bound or (k > 0 and image[:k] != path[:k]):
+            return  # no extension of path is fixed
+        if closes[e] and image == path:
+            results.add(_canonical(tuple(labels[x] for x in path)))
+        if n == bound:
+            return
+        for d in nexts[e]:
+            img, c = images[d], 0
+            while c < min(len(image), len(img)) and image[-1 - c] == img[c] ^ 1:
+                c += 1
+            visit(path + (d,), image[:len(image) - c] + img[c:])
 
-        def push(e):
-            popped = []
-            appended = 0
-            for x in g.image(e):
-                if image and image[-1] == rev_edge(x):
-                    popped.append(image.pop())
-                else:
-                    image.append(x)
-                    appended += 1
-            undo.append((popped, appended))
-            path.append(e)
-
-        def pop():
-            popped, appended = undo.pop()
-            for _ in range(appended):
-                image.pop()
-            image.extend(reversed(popped))
-            path.pop()
-
-        def visit():
-            tail = dom.term_vertex(path[-1])
-            if g.vertex_map[tail] == tail and len(image) == len(path):
-                if image == path:
-                    results.add(_canonical(tuple(path)))
-            if len(path) >= bound:
-                return
-            for e in dom.directions_at(tail):
-                if e == rev_edge(path[-1]):
-                    continue
-                push(e)
-                visit()
-                pop()
-
+    for v0 in sorted(fixed):
         for e in dom.directions_at(v0):
-            push(e)
-            visit()
-            pop()
+            visit((code[e],), images[code[e]])
     return sorted(results)
 
 

@@ -1,13 +1,16 @@
 import itertools
+import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from loneaxis.errors import NielsenPathPresentError, PreconditionError
 from loneaxis.graphs import apply_map, power, rev_edge, rev_path
 from loneaxis import axes, nielsen, traintrack
 
 from conftest import (cubic_map, dumbbell_instance, eight_petal_map, fib_map,
-                      rank4_map, rank5_map)
+                      rank4_map, rank5_map, random_positive_map,
+                      total_image_length)
 
 
 @pytest.fixture(scope="module")
@@ -112,7 +115,113 @@ class TestLegMatching:
         assert nielsen.is_fully_stable(g, 40) is False
 
 
+def unpruned_nielsen_paths(g, bound):
+    """Reference for the pruned oracle: enumerate every tight path of
+    <= bound edges between fixed vertices and keep those fixed by the
+    tightened map.  No pruning; exponential in the bound."""
+    nielsen._require_rotationless_tt(g)
+    dom = g.domain
+    fixed_vertices = sorted(v for v in dom.vertices if g.vertex_map[v] == v)
+    results = set()
+
+    for v0 in fixed_vertices:
+        path = []
+        image = []
+        undo = []  # (popped suffix, appended count) per depth
+
+        def push(e):
+            popped = []
+            appended = 0
+            for x in g.image(e):
+                if image and image[-1] == rev_edge(x):
+                    popped.append(image.pop())
+                else:
+                    image.append(x)
+                    appended += 1
+            undo.append((popped, appended))
+            path.append(e)
+
+        def pop():
+            popped, appended = undo.pop()
+            for _ in range(appended):
+                image.pop()
+            image.extend(reversed(popped))
+            path.pop()
+
+        def visit():
+            tail = dom.term_vertex(path[-1])
+            if g.vertex_map[tail] == tail and len(image) == len(path):
+                if image == path:
+                    results.add(nielsen._canonical(tuple(path)))
+            if len(path) >= bound:
+                return
+            for e in dom.directions_at(tail):
+                if e == rev_edge(path[-1]):
+                    continue
+                push(e)
+                visit()
+                pop()
+
+        for e in dom.directions_at(v0):
+            push(e)
+            visit()
+            pop()
+    return sorted(results)
+
+
+def assert_pruning_exact(g, bounds):
+    for bound in bounds:
+        assert nielsen.brute_force_nielsen_paths(g, bound) \
+            == unpruned_nielsen_paths(g, bound), bound
+
+
 class TestBruteForce:
+    # the unpruned reference is exponential: bounds stay where it costs
+    # under a few hundredths of a second a call, apart from fib^2 at 12
+    @pytest.mark.parametrize("make, top", [
+        (fib_map, 8), (cubic_map, 5), (dumbbell_instance, 6), (rank4_map, 4),
+        (eight_petal_map, 3), (rank5_map, 4),
+    ], ids=["fib", "cubic", "dumbbell", "rank4", "eight", "rank5"])
+    def test_pruning_exact_on_fixed_maps(self, make, top):
+        grot, _ = axes.rotationless_power(make())
+        assert_pruning_exact(grot, range(1, top + 1))
+
+    def test_pruning_exact_on_fib_square_at_oracle_bound(self, fib2):
+        assert nielsen._ORACLE_MAX_BOUND == 12
+        assert_pruning_exact(fib2, [12])
+
+    def test_pruning_exact_on_corpus_samples(self, small_corpus):
+        ran = 0
+        for g in small_corpus:
+            if traintrack.periodic_structure(g).rotationless_exponent > 2:
+                continue
+            grot, _ = axes.rotationless_power(g)
+            if total_image_length(grot) > 60:
+                continue
+            assert_pruning_exact(grot, range(1, 5))
+            ran += 1
+            if ran == 6:
+                break
+        assert ran == 6
+
+    @settings(max_examples=6, deadline=None)
+    @given(st.integers(2, 3), st.integers(0, 2**32 - 1))
+    def test_pruning_exact_on_random_maps(self, rank, seed):
+        g = random_positive_map(rank, random.Random(seed))
+        try:
+            assume(traintrack.periodic_structure(g).rotationless_exponent <= 3)
+            grot, _ = axes.rotationless_power(g)
+            assume(total_image_length(grot) <= 60)
+            nielsen._require_rotationless_tt(grot)
+        except PreconditionError:
+            assume(False)
+        assert_pruning_exact(grot, range(1, 7))
+
+    @pytest.mark.parametrize("bound", [0, -3])
+    def test_rejects_non_positive_bound(self, fib2, bound):
+        with pytest.raises(PreconditionError, match="positive integer"):
+            nielsen.brute_force_nielsen_paths(fib2, bound)
+
     def test_matches_iterative_on_fib_square(self, fib2):
         oracle = nielsen.brute_force_nielsen_paths(fib2, 9)
         report = nielsen.find_nielsen_paths(fib2, 9)
