@@ -13,8 +13,8 @@ from .errors import (DecompositionError, InternalCheckError,
                      InvalidGraphError, InvalidMapError, LoneAxisError,
                      NielsenPathPresentError, NotLoneAxisError, ParseError,
                      PreconditionError, UnknownAtBoundError)
-from .graphs import (GraphMap, MarkedGraph, apply_map, compose, power,
-                     rev_edge, rev_path, rose, rose_map, tighten)
+from .graphs import (GraphMap, MarkedGraph, compose, power, rev_edge,
+                     rev_path, rose, rose_map)
 from .isomorphism import (GraphIsomorphism, are_isomorphic, canonical_encoding,
                           canonical_form)
 from .spectral import (PFData, TransitionMatrix, dilatation, eigenmetric,
@@ -23,8 +23,7 @@ from .traintrack import (GateStructure, PeriodicStructure, direction_map,
                          gate_index_sum, gates, is_rotationless,
                          is_train_track, periodic_structure, taken_turns)
 from .nielsen import (NielsenPathReport, ageometric_certificate,
-                      brute_force_nielsen_paths, find_nielsen_paths,
-                      is_fully_stable)
+                      find_nielsen_paths, is_fully_stable)
 from .whitehead import (IndexReport, WhiteheadGraph, cut_vertices,
                         ideal_whitehead_graph, index_report,
                         local_whitehead_graph, stable_whitehead_graph,

@@ -916,6 +916,8 @@ def conjugate_power_check(g1: GraphMap, g2: GraphMap, max_power: int = 10,
     power acting on singular rays.  Only the primitive (k, l) is
     screened; higher multiples are not retried.
     """
+    if max_power < 1:
+        raise PreconditionError("max_power must be a positive integer")
     decisions = []
     for g, tag in ((g1, "first"), (g2, "second")):
         rep = lone_axis_decision(g, np_bound)

@@ -20,13 +20,15 @@ and optional metadata::
 
 Image words are space-separated edge tokens; a trailing apostrophe
 marks the reversed edge (c').  Exit codes: 0 affirmative/success,
-1 negative verdict, 2 unknown at the configured bound, 3 input error.
+1 negative verdict, 2 unknown at the configured bound, 3 input error,
+4 failed internal self-check.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -69,10 +71,14 @@ def _parse_length(token, lineno):
         if "/" in token:
             return Fraction(token)
         if "." in token or "e" in token or "E" in token:
-            return float(token)
-        return Fraction(int(token))
+            value = float(token)
+        else:
+            return Fraction(int(token))
     except (ValueError, ZeroDivisionError):
         raise ParseError(lineno, f"bad length {token!r}")
+    if not math.isfinite(value):
+        raise ParseError(lineno, f"length {token!r} is not finite")
+    return value
 
 
 def parse_document(text: str) -> GraphMapDocument:

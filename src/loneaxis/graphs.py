@@ -12,6 +12,8 @@ edge is immediately followed by its reverse.
 
 from __future__ import annotations
 
+import math
+
 from .errors import InvalidGraphError, InvalidMapError
 
 VOLUME_TOL = 1e-12
@@ -26,26 +28,8 @@ def base_label(e: str) -> str:
     return e[:-1] if e.endswith("'") else e
 
 
-def is_positive(e: str) -> bool:
-    return not e.endswith("'")
-
-
 def rev_path(path):
     return tuple(rev_edge(e) for e in reversed(path))
-
-
-def tighten(path):
-    """Reduce a path to its unique tight form (cancel every e e').
-
-    Idempotent; the empty path is allowed and returned unchanged.
-    """
-    out = []
-    for e in path:
-        if out and out[-1] == rev_edge(e):
-            out.pop()
-        else:
-            out.append(e)
-    return tuple(out)
 
 
 def is_tight(path) -> bool:
@@ -139,6 +123,9 @@ class MarkedGraph:
             for lbl, x in self.lengths.items():
                 if not x > 0:
                     raise InvalidGraphError(f"edge {lbl} has non-positive length")
+                # a comparison, since math.isfinite overflows on huge Fractions
+                if not x < math.inf:
+                    raise InvalidGraphError(f"edge {lbl} has non-finite length")
             if self.normalized and abs(float(self.volume()) - 1.0) > VOLUME_TOL:
                 raise InvalidGraphError(
                     f"volume {float(self.volume())} of a normalized graph is not 1")
@@ -180,10 +167,6 @@ class MarkedGraph:
         return MarkedGraph(self.edge_ends, lengths=lengths,
                            subdivision_vertices=self.subdivision_vertices,
                            normalized=normalized)
-
-    def without_lengths(self):
-        return MarkedGraph(self.edge_ends,
-                           subdivision_vertices=self.subdivision_vertices)
 
     def is_path(self, path) -> bool:
         """Edges exist and consecutive endpoints match."""
@@ -323,11 +306,6 @@ class GraphMap(DerivedStore):
         rules = ", ".join(f"{e}->{''.join(self._images[e])}"
                           for e in self.domain.pairs)
         return f"GraphMap({rules})"
-
-
-def apply_map(g: GraphMap, path):
-    """Tightened image g#(path)."""
-    return g.apply_path(path)
 
 
 def compose(g: GraphMap, h: GraphMap) -> GraphMap:

@@ -64,9 +64,6 @@ class GraphIsomorphism:
                     return False
         return True
 
-    def map_path(self, path):
-        return tuple(self.edge_map[e] for e in path)
-
 
 def _adjacency(n, edges):
     loops = [0] * n

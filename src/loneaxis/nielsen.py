@@ -8,17 +8,6 @@ the ray swept out by iterating the map on a fixed direction.  The map
 sends a leg R[:i] to R[:i] followed by a tail of the same ray, and two
 legs that meet at a tight turn degenerating in one step form an NP
 exactly when their tails agree, so the search matches legs by tail.
-
-A brute-force enumeration over tight paths doubles as an independent
-oracle at small bounds, pruned by free reduction alone.  Take a path p
-of l edges with tightened image I, and let M be the longest edge image.
-An extension q of at most bound - l edges has |g#(q)| <= (bound - l) M,
-and tightening I . g#(q) cancels at most that many letters of I, so
-I[:m] with m = |I| - (bound - l) M is a prefix of g#(p q).  A fixed
-p q equals its image, has at most `bound` edges and starts with p, so
-no extension of p is fixed when m > bound, or when m > 0 and I and p
-differ in their first min(m, l) edges.  No train track theory enters,
-so the oracle stays independent of the search it checks.
 """
 
 from __future__ import annotations
@@ -32,7 +21,6 @@ from .graphs import GraphMap, rev_edge, rev_path
 from . import spectral, traintrack
 
 DEFAULT_BOUND = 40
-_ORACLE_MAX_BOUND = 12
 _CONCAT_CAP = 200
 
 
@@ -213,53 +201,6 @@ def _concatenations(g, inps, max_len):
     return sorted(out)
 
 
-def brute_force_nielsen_paths(g, bound):
-    """Independent oracle: every tight path of <= bound edges between
-    fixed vertices that the tightened map fixes.
-
-    A depth-first walk over tight paths, pruned by free reduction alone
-    (module docstring): every extension of p keeps I[:m] in its image,
-    I = g#(p), m = |I| - (bound - |p|) M, M the longest edge image, so
-    p is cut when m > bound, or when m > 0 and I and p differ in their
-    first min(m, |p|) edges.  Still exponential in the bound.  The walk
-    codes an edge pair as 2i and 2i + 1, so reversal is x ^ 1.
-    """
-    if bound < 1:
-        raise PreconditionError("bound must be a positive integer")
-    _require_rotationless_tt(g)
-    dom = g.domain
-    labels = [x for e in dom.pairs for x in (e, rev_edge(e))]
-    code = {e: i for i, e in enumerate(labels)}
-    images = [tuple(code[x] for x in g.image(e)) for e in labels]
-    longest = max(map(len, images))
-    fixed = {v for v in dom.vertices if g.vertex_map[v] == v}
-    closes = [dom.term_vertex(e) in fixed for e in labels]
-    nexts = [[code[d] for d in dom.directions_at(dom.term_vertex(e))
-              if d != rev_edge(e)] for e in labels]
-    results = set()
-
-    def visit(path, image):
-        n, e = len(path), path[-1]
-        m = len(image) - (bound - n) * longest
-        k = min(m, n)
-        if m > bound or (k > 0 and image[:k] != path[:k]):
-            return  # no extension of path is fixed
-        if closes[e] and image == path:
-            results.add(_canonical(tuple(labels[x] for x in path)))
-        if n == bound:
-            return
-        for d in nexts[e]:
-            img, c = images[d], 0
-            while c < min(len(image), len(img)) and image[-1 - c] == img[c] ^ 1:
-                c += 1
-            visit(path + (d,), image[:len(image) - c] + img[c:])
-
-    for v0 in sorted(fixed):
-        for e in dom.directions_at(v0):
-            visit((code[e],), images[code[e]])
-    return sorted(results)
-
-
 def _proven_leg_bound(g):
     """Edge-count bound on a leg of any indivisible NP, from the metric.
 
@@ -285,27 +226,16 @@ def find_nielsen_paths(g: GraphMap, bound: int = DEFAULT_BOUND) -> NielsenPathRe
 
     Indivisible NPs are found by matching eigenray legs whose image
     tails agree (see `_iterative_search`); divisible ones are their
-    tight concatenations of up to twice the bound.  The brute-force
-    oracle runs as a cross-check on every call whose bound is small
-    enough for it (<= 12); any disagreement raises.  The report is
+    tight concatenations of up to twice the bound.  The report is
     exhaustive when the proven leg bound fits under the requested bound.
     Raises NielsenPathPresentError when the concatenations are too many
     to list.  The report is stored on g per bound and shared by every
-    caller; the oracle's verdict is not, so every call at a small bound
-    checks the stored report against a fresh brute-force enumeration.
+    caller.
     """
     if bound < 1:
         raise PreconditionError("bound must be a positive integer")
-    report = g._derived(("nielsen_paths", bound),
-                        lambda g: _find_nielsen_paths(g, bound))
-    if bound <= _ORACLE_MAX_BOUND:
-        oracle = set(brute_force_nielsen_paths(g, bound))
-        mine = {p.path for p in report.paths if len(p.path) <= bound}
-        if mine != oracle:
-            raise InternalCheckError(
-                f"Nielsen searches disagree: iterative {sorted(mine)} "
-                f"vs brute force {sorted(oracle)}")
-    return report
+    return g._derived(("nielsen_paths", bound),
+                      lambda g: _find_nielsen_paths(g, bound))
 
 
 def _find_nielsen_paths(g, bound):

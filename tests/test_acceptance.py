@@ -18,6 +18,7 @@ from loneaxis import axes, nielsen, spectral, traintrack, whitehead
 
 from conftest import (cubic_map, cubic_map_relabeled, dumbbell_instance,
                       fib_map)
+from oracles import checked_nielsen_paths
 
 
 def ok(n, text):
@@ -99,7 +100,7 @@ def test_criterion_4_worked_example_cubic():
     grot, exponent = axes.rotationless_power(g)
     assert exponent == 6
 
-    report = nielsen.find_nielsen_paths(grot, 6)  # oracle cross-check runs
+    report = checked_nielsen_paths(grot, 6)
     assert report.paths == () and report.exhaustive
 
     idx = whitehead.index_report(grot, 6)
@@ -144,11 +145,8 @@ def test_criterion_5_worked_example_fib():
 
     grot, exponent = axes.rotationless_power(g)
     assert exponent == 2
-    report = nielsen.find_nielsen_paths(grot, 8)  # oracle cross-check runs
-    iterative = {p.path for p in report.inps()}
-    oracle = set(nielsen.brute_force_nielsen_paths(grot, 8))
-    assert ("a'", "b'", "a", "b") in iterative
-    assert iterative <= oracle
+    report = checked_nielsen_paths(grot, 8)
+    assert ("a'", "b'", "a", "b") in {p.path for p in report.inps()}
 
     decision = axes.lone_axis_decision(g, np_bound=8)
     assert decision.overall == "not-lone-axis"
@@ -253,13 +251,12 @@ def test_criterion_10_oracle_agreement(corpus, small_corpus):
                     oracle.add(v)
         assert whitehead.cut_vertices(w) == oracle
 
-    # Nielsen iterative vs brute force at bounds <= 12: the library runs
-    # the oracle inside find_nielsen_paths and raises on any mismatch
+    # Nielsen iterative vs brute force at bounds <= 12
     fib2 = power(fib_map(), 2)
     cubic6 = power(cubic_map(), 6)
-    nielsen.find_nielsen_paths(fib2, 10)
-    nielsen.find_nielsen_paths(cubic6, 6)
-    nielsen.find_nielsen_paths(power(dumbbell_instance(), 2), 6)
+    checked_nielsen_paths(fib2, 10)
+    checked_nielsen_paths(cubic6, 6)
+    checked_nielsen_paths(power(dumbbell_instance(), 2), 6)
     ran = 0
     for g in small_corpus:
         if g.domain.rank() != 2:
@@ -269,7 +266,7 @@ def test_criterion_10_oracle_agreement(corpus, small_corpus):
         grot, _ = axes.rotationless_power(g)
         if sum(len(grot.image(e)) for e in grot.domain.pairs) > 60:
             continue
-        nielsen.find_nielsen_paths(grot, 8)
+        checked_nielsen_paths(grot, 8)
         ran += 1
         if ran >= 3:
             break

@@ -237,6 +237,12 @@ class TestConjugatePowerCheck:
         assert verdict.status == "conjugate-powers"
         assert verdict.powers == (2, 1)
 
+    @pytest.mark.parametrize("max_power", [0, -2])
+    def test_max_power_must_be_positive(self, max_power):
+        with pytest.raises(PreconditionError, match="max_power"):
+            axes.conjugate_power_check(cubic_map(), cubic_map_relabeled(),
+                                       max_power=max_power)
+
     def test_inapplicable(self):
         verdict = axes.conjugate_power_check(fib_map(), cubic_map(),
                                              max_power=5, np_bound=13)

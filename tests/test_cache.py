@@ -11,14 +11,15 @@ import numpy as np
 import pytest
 
 from loneaxis.cli import GraphMapDocument, parse_document, serialize_document
-from loneaxis.errors import (InternalCheckError, LoneAxisError,
-                             NielsenPathPresentError, PreconditionError)
+from loneaxis.errors import (LoneAxisError, NielsenPathPresentError,
+                             PreconditionError)
 from loneaxis.graphs import GraphMap, MarkedGraph, power, rose_map
 from loneaxis import axes, nielsen, spectral, traintrack
 
 from conftest import (cubic_map, defect_map, dumbbell_instance,
                       eight_petal_map, fib_map, rank4_map, rank5_map,
                       runaway_map)
+from oracles import checked_nielsen_paths
 
 MAPS = {"fib": fib_map, "cubic": cubic_map, "dumbbell": dumbbell_instance,
         "rank4": rank4_map, "rank5": rank5_map, "eight": eight_petal_map}
@@ -110,7 +111,6 @@ def test_stages_computed_once_per_map(monkeypatch):
 
     for module, name in ((traintrack, "_gates"), (spectral, "_pf_data"),
                          (nielsen, "_find_nielsen_paths"),
-                         (nielsen, "brute_force_nielsen_paths"),
                          (axes, "_is_homotopy_equivalence"),
                          (axes, "stallings_decomposition")):
         counted(module, name)
@@ -119,11 +119,9 @@ def test_stages_computed_once_per_map(monkeypatch):
         axes.axis_signature(g, np_bound=6)
         nielsen.find_nielsen_paths(grot(g), 6)
     # gates of g and of its rotationless power; one search per map and
-    # bound, but the oracle on each of the six calls at bound 6; one
-    # homotopy equivalence check of g, which records no fold sequence, and
-    # one fold sequence for the signature's records
+    # bound; one homotopy equivalence check of g, which records no fold
+    # sequence, and one fold sequence for the signature's records
     assert counts == {"_gates": 2, "_pf_data": 2, "_find_nielsen_paths": 1,
-                      "brute_force_nielsen_paths": 6,
                       "_is_homotopy_equivalence": 1,
                       "stallings_decomposition": 1}
 
@@ -210,12 +208,14 @@ def test_failures_are_raised_again():
 
 
 def test_oracle_checks_every_small_bound_call(monkeypatch):
-    # a stored report that misses fib's iNP is rejected by the oracle on
-    # every call at an oracle bound, not only on the call that stored it
-    g, _ = axes.rotationless_power(fib_map())
+    # the test-side oracle accepts fib's true report and rejects a stored
+    # report that misses its iNP, on every call and not only on the call
+    # that stored it
+    checked_nielsen_paths(grot(fib_map()), 6)
+    g = grot(fib_map())  # a fresh map: its report is stored by the plant
     monkeypatch.setattr(nielsen, "_find_nielsen_paths",
                         lambda g, bound: nielsen.NielsenPathReport(
                             [], bound, True, 1))
     for _ in range(2):
-        with pytest.raises(InternalCheckError, match="disagree"):
-            nielsen.find_nielsen_paths(g, 6)
+        with pytest.raises(AssertionError, match="disagree"):
+            checked_nielsen_paths(g, 6)

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,7 @@ from loneaxis.cli import (GraphMapDocument, parse_document,
 
 from conftest import (build_corpus, defect_map, dumbbell_instance,
                       eight_petal_map, runaway_map)
+from oracles import checked_nielsen_paths
 
 H_DOC = """\
 graph
@@ -106,6 +108,13 @@ class TestParse:
             "map", "lengths\nlength a 1/4\nlength b 1/4\nlength c 1/2\nmap"))
         assert doc.graph_map.domain.lengths["a"] == Fraction(1, 4)
 
+    def test_non_finite_length_rejected(self):
+        bad = H_DOC.replace(
+            "map", "lengths\nlength a 1e999\nlength b 1/4\nlength c 1/2\nmap")
+        with pytest.raises(ParseError, match="not finite") as err:
+            parse_document(bad)
+        assert err.value.line == 7
+
     def test_missing_rule_rejected(self):
         bad = "\n".join(line for line in H_DOC.splitlines()
                         if not line.startswith("b ->")) + "\n"
@@ -137,6 +146,22 @@ class TestRoundTrip:
     def test_multi_vertex_document(self):
         doc = GraphMapDocument(dumbbell_instance(), name="dumbbell")
         assert parse_document(serialize_document(doc)) == doc
+
+    def test_benchmark_documents(self):
+        paths = sorted((Path(__file__).resolve().parents[1]
+                        / "perfbench" / "docs").glob("*.txt"))
+        assert paths
+        for path in paths:
+            doc = parse_document(path.read_text())
+            assert parse_document(serialize_document(doc)) == doc
+
+    def test_float_lengths(self):
+        doc = parse_document(H_DOC.replace(
+            "map", "lengths\nlength a 0.1\nlength b 2.5e-3\n"
+                   "length c 1e20\nmap"))
+        text = serialize_document(doc)
+        assert parse_document(text) == doc
+        assert serialize_document(parse_document(text)) == text
 
 
 class TestSubcommands:
@@ -204,6 +229,7 @@ class TestSubcommands:
                     ["pnp", str(p), "--bound", "2", "--json"], capsys)
                 assert code == 2
                 assert json.loads(out)["verdicts"]["exhaustive"] is False
+                checked_nielsen_paths(g, 2)  # the search the command ran
                 return
         pytest.skip("corpus produced no suitable large example")
 
@@ -288,6 +314,18 @@ class TestSubcommands:
         assert code == 0
         assert json.loads(out)["values"]["powers"] == [1, 1]
         assert run(["conjugate-power", f_file, h_file, "--bound", "13"]) == 2
+
+    def test_conjugate_power_max_power_is_input_error(self, h_file, capsys):
+        code = run(["conjugate-power", h_file, h_file, "--max-power", "0"])
+        assert code == 3
+        assert "max_power must be a positive integer" in capsys.readouterr().err
+
+    def test_non_finite_length_exit(self, tmp_path, capsys):
+        p = tmp_path / "inf.doc"
+        p.write_text(H_DOC.replace(
+            "map", "lengths\nlength a 1e999\nlength b 1/4\nlength c 1/2\nmap"))
+        assert run(["check", str(p)]) == 3
+        assert "line 7: length '1e999' is not finite" in capsys.readouterr().err
 
     def test_input_error_exit(self, tmp_path):
         p = tmp_path / "broken.doc"

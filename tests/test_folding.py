@@ -12,11 +12,12 @@ from hypothesis import assume, given, settings, strategies as st
 from loneaxis.errors import (DecompositionError, InvalidGraphError,
                              LoneAxisError, PreconditionError)
 from loneaxis.graphs import (GraphMap, MarkedGraph, compose, power, rose,
-                             rose_map, tighten)
+                             rose_map)
 from loneaxis import axes, spectral
 
 from conftest import (cubic_map, dumbbell_instance, eight_petal_map, fib_map,
                       identity_map, rank4_map)
+from oracles import tighten
 
 
 def metrized(g):

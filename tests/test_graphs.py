@@ -1,15 +1,17 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from loneaxis.errors import InvalidGraphError, InvalidMapError
-from loneaxis.graphs import (GraphMap, MarkedGraph, apply_map, compose,
-                             is_tight, power, rev_edge, rev_path, rose,
-                             rose_map, tighten)
+from loneaxis.graphs import (GraphMap, MarkedGraph, compose, is_tight, power,
+                             rev_edge, rev_path, rose, rose_map)
 from loneaxis.isomorphism import are_isomorphic
 
 from conftest import cubic_map, fib_map
+from oracles import tighten
 
 
 def letters(rank=2):
@@ -41,22 +43,22 @@ class TestTighten:
 
 class TestApplyMap:
     def test_direct_substitution(self):
-        assert apply_map(fib_map(), ("b", "a")) == ("a", "a", "b")
+        assert fib_map().apply_path(("b", "a")) == ("a", "a", "b")
 
     def test_input_cancels_to_nothing(self):
-        assert apply_map(fib_map(), ("a'", "a")) == ()
+        assert fib_map().apply_path(("a'", "a")) == ()
 
     def test_substitution_with_inverse(self):
-        assert apply_map(fib_map(), ("b", "a'")) == ("a", "b'", "a'")
+        assert fib_map().apply_path(("b", "a'")) == ("a", "b'", "a'")
 
     def test_unknown_edge_rejected(self):
         with pytest.raises(InvalidMapError):
-            apply_map(fib_map(), ("z",))
+            fib_map().apply_path(("z",))
 
     @given(words())
     def test_tighten_first_changes_nothing(self, w):
         g = fib_map()
-        assert apply_map(g, tighten(w)) == apply_map(g, w)
+        assert g.apply_path(tighten(w)) == g.apply_path(w)
 
 
 class TestComposePower:
@@ -104,6 +106,12 @@ class TestValidation:
         with pytest.raises(InvalidGraphError):
             MarkedGraph({"a": ("u", "u"), "b": ("u", "u"),
                          "c": ("w", "w"), "d": ("w", "w")})
+
+    def test_non_finite_length_rejected(self):
+        with pytest.raises(InvalidGraphError, match="non-finite"):
+            rose(["a", "b"], lengths={"a": math.inf, "b": 1.0})
+        huge = rose(["a", "b"], lengths={"a": Fraction(10 ** 400), "b": 1})
+        assert huge.length("a") == 10 ** 400
 
     def test_volume_check(self):
         with pytest.raises(InvalidGraphError):

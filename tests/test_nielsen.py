@@ -5,12 +5,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from loneaxis.errors import NielsenPathPresentError, PreconditionError
-from loneaxis.graphs import apply_map, power, rev_edge, rev_path
+from loneaxis.graphs import power, rev_edge, rev_path
 from loneaxis import axes, nielsen, traintrack
 
 from conftest import (cubic_map, dumbbell_instance, eight_petal_map, fib_map,
                       rank4_map, rank5_map, random_positive_map,
                       total_image_length)
+from oracles import (brute_force_nielsen_paths, checked_nielsen_paths,
+                     unpruned_nielsen_paths)
 
 
 @pytest.fixture(scope="module")
@@ -37,12 +39,13 @@ class TestFindNielsenPaths:
         assert inps[0].path == ("a'", "b'", "a", "b")
 
     def test_oracle_agreement_runs_at_small_bounds(self, fib2, cubic6):
-        # bound <= 12 turns the brute-force cross-check on; any
-        # disagreement raises InternalCheckError
-        rep = nielsen.find_nielsen_paths(fib2, 8)
+        # each search is compared against the brute-force oracle
+        rep = checked_nielsen_paths(fib2, 8)
         assert [p.path for p in rep.inps()] == [("a'", "b'", "a", "b")]
-        rep6 = nielsen.find_nielsen_paths(cubic6, 6)
+        rep6 = checked_nielsen_paths(cubic6, 6)
         assert rep6.paths == () and rep6.exhaustive
+        rep1 = checked_nielsen_paths(cubic6, 1)
+        assert rep1.paths == () and not rep1.exhaustive
 
     def test_rotationless_precondition(self):
         with pytest.raises(PreconditionError):
@@ -52,7 +55,7 @@ class TestFindNielsenPaths:
         report = nielsen.find_nielsen_paths(fib2, 12)
         assert report.paths
         for np_ in report.paths:
-            assert apply_map(fib2, np_.path) == np_.path
+            assert fib2.apply_path(np_.path) == np_.path
 
     def test_inp_structure(self, fib2):
         # exactly one illegal turn, sitting between two legal legs
@@ -83,14 +86,14 @@ def all_pairs_inps(g, bound):
             continue
         ray = (d,)
         while len(ray) < bound:
-            ray = apply_map(g, ray)
+            ray = g.apply_path(ray)
         legs += [ray[:i] for i in range(1, bound + 1)]
     found = set()
     for a, b in itertools.combinations(legs, 2):
         if a[-1] == b[-1] or dmap[rev_edge(a[-1])] != dmap[rev_edge(b[-1])]:
             continue
         rho = a + rev_path(b)
-        if apply_map(g, rho) == rho:
+        if g.apply_path(rho) == rho:
             found.add(min(rho, rev_path(rho)))
     return sorted(found)
 
@@ -105,6 +108,8 @@ class TestLegMatching:
         for bound in sorted({13, 40, proven}):
             mine = [p.path for p in nielsen.find_nielsen_paths(grot, bound).inps()]
             assert mine == all_pairs_inps(grot, bound)
+        if proven <= 12:  # where the brute-force oracle is cheap
+            checked_nielsen_paths(grot, proven)
 
     def test_too_many_concatenations(self):
         g = eight_petal_map()
@@ -115,63 +120,9 @@ class TestLegMatching:
         assert nielsen.is_fully_stable(g, 40) is False
 
 
-def unpruned_nielsen_paths(g, bound):
-    """Reference for the pruned oracle: enumerate every tight path of
-    <= bound edges between fixed vertices and keep those fixed by the
-    tightened map.  No pruning; exponential in the bound."""
-    nielsen._require_rotationless_tt(g)
-    dom = g.domain
-    fixed_vertices = sorted(v for v in dom.vertices if g.vertex_map[v] == v)
-    results = set()
-
-    for v0 in fixed_vertices:
-        path = []
-        image = []
-        undo = []  # (popped suffix, appended count) per depth
-
-        def push(e):
-            popped = []
-            appended = 0
-            for x in g.image(e):
-                if image and image[-1] == rev_edge(x):
-                    popped.append(image.pop())
-                else:
-                    image.append(x)
-                    appended += 1
-            undo.append((popped, appended))
-            path.append(e)
-
-        def pop():
-            popped, appended = undo.pop()
-            for _ in range(appended):
-                image.pop()
-            image.extend(reversed(popped))
-            path.pop()
-
-        def visit():
-            tail = dom.term_vertex(path[-1])
-            if g.vertex_map[tail] == tail and len(image) == len(path):
-                if image == path:
-                    results.add(nielsen._canonical(tuple(path)))
-            if len(path) >= bound:
-                return
-            for e in dom.directions_at(tail):
-                if e == rev_edge(path[-1]):
-                    continue
-                push(e)
-                visit()
-                pop()
-
-        for e in dom.directions_at(v0):
-            push(e)
-            visit()
-            pop()
-    return sorted(results)
-
-
 def assert_pruning_exact(g, bounds):
     for bound in bounds:
-        assert nielsen.brute_force_nielsen_paths(g, bound) \
+        assert brute_force_nielsen_paths(g, bound) \
             == unpruned_nielsen_paths(g, bound), bound
 
 
@@ -187,7 +138,6 @@ class TestBruteForce:
         assert_pruning_exact(grot, range(1, top + 1))
 
     def test_pruning_exact_on_fib_square_at_oracle_bound(self, fib2):
-        assert nielsen._ORACLE_MAX_BOUND == 12
         assert_pruning_exact(fib2, [12])
 
     def test_pruning_exact_on_corpus_samples(self, small_corpus):
@@ -220,16 +170,14 @@ class TestBruteForce:
     @pytest.mark.parametrize("bound", [0, -3])
     def test_rejects_non_positive_bound(self, fib2, bound):
         with pytest.raises(PreconditionError, match="positive integer"):
-            nielsen.brute_force_nielsen_paths(fib2, bound)
+            brute_force_nielsen_paths(fib2, bound)
 
     def test_matches_iterative_on_fib_square(self, fib2):
-        oracle = nielsen.brute_force_nielsen_paths(fib2, 9)
-        report = nielsen.find_nielsen_paths(fib2, 9)
-        mine = sorted(p.path for p in report.paths if len(p.path) <= 9)
-        assert mine == oracle
+        for bound in (9, 12):
+            assert checked_nielsen_paths(fib2, bound).inps()
 
     def test_canonical_orientation(self, fib2):
-        for p in nielsen.brute_force_nielsen_paths(fib2, 8):
+        for p in brute_force_nielsen_paths(fib2, 8):
             assert p <= rev_path(p)
 
     def test_agreement_on_corpus_samples(self, small_corpus):
@@ -242,7 +190,7 @@ class TestBruteForce:
             grot, _ = axes.rotationless_power(g)
             if sum(len(grot.image(e)) for e in grot.domain.pairs) > 60:
                 continue
-            nielsen.find_nielsen_paths(grot, 8)  # raises on disagreement
+            checked_nielsen_paths(grot, 8)
             ran += 1
             if ran >= 4:
                 break
