@@ -15,8 +15,7 @@ from .errors import (DecompositionError, InternalCheckError,
                      PreconditionError, UnknownAtBoundError)
 from .graphs import (GraphMap, MarkedGraph, compose, power, rev_edge,
                      rev_path, rose, rose_map)
-from .isomorphism import (GraphIsomorphism, are_isomorphic, canonical_encoding,
-                          canonical_form)
+from .isomorphism import canonical_encoding, canonical_form
 from .spectral import (PFData, TransitionMatrix, dilatation, eigenmetric,
                        matrix_class, pf_data, transition_matrix)
 from .traintrack import (GateStructure, PeriodicStructure, direction_map,

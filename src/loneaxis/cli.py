@@ -69,15 +69,17 @@ class GraphMapDocument:
 def _parse_length(token, lineno):
     try:
         if "/" in token:
-            return Fraction(token)
-        if "." in token or "e" in token or "E" in token:
+            value = Fraction(token)
+        elif "." in token or "e" in token or "E" in token:
             value = float(token)
         else:
-            return Fraction(int(token))
+            value = Fraction(int(token))
     except (ValueError, ZeroDivisionError):
         raise ParseError(lineno, f"bad length {token!r}")
-    if not math.isfinite(value):
+    if not -math.inf < value < math.inf:
         raise ParseError(lineno, f"length {token!r} is not finite")
+    if not value > 0:
+        raise ParseError(lineno, f"length {token!r} is not positive")
     return value
 
 
@@ -89,6 +91,7 @@ def parse_document(text: str) -> GraphMapDocument:
     edges: dict[str, tuple] = {}
     edge_lines: dict[str, int] = {}
     lengths: dict[str, object] = {}
+    length_lines: dict[str, int] = {}
     rules: dict[str, tuple] = {}
     rule_lines: dict[str, int] = {}
     section = None
@@ -134,6 +137,7 @@ def parse_document(text: str) -> GraphMapDocument:
             if tokens[1] in lengths:
                 raise ParseError(lineno, f"duplicate length for {tokens[1]}")
             lengths[tokens[1]] = _parse_length(tokens[2], lineno)
+            length_lines[tokens[1]] = lineno
         elif "->" in tokens:
             if section != "map":
                 raise ParseError(lineno, "image rule outside the map section")
@@ -157,7 +161,7 @@ def parse_document(text: str) -> GraphMapDocument:
                                  f"edge {lbl} uses undeclared vertex {w}")
     for lbl in lengths:
         if lbl not in edges:
-            raise ParseError(1, f"length for unknown edge {lbl}")
+            raise ParseError(length_lines[lbl], f"length for unknown edge {lbl}")
     if lengths and set(lengths) != set(edges):
         missing = sorted(set(edges) - set(lengths))[0]
         raise ParseError(1, f"lengths section misses edge {missing}")
@@ -447,7 +451,10 @@ def _cmd_signature(doc, args):
 
 def _cmd_conjugate_power(doc, args):
     with open(args.other) as fh:
-        other = parse_document(fh.read())
+        try:
+            other = parse_document(fh.read())
+        except ParseError as ex:
+            raise ParseError(ex.line, ex.message, path=args.other) from None
     verdict = axes.conjugate_power_check(doc.graph_map, other.graph_map,
                                          max_power=args.max_power,
                                          np_bound=args.bound)

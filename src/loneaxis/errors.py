@@ -39,9 +39,11 @@ class InternalCheckError(LoneAxisError):
 
 
 class ParseError(LoneAxisError):
-    """Input text could not be parsed.  Carries a 1-based line number."""
+    """Input text could not be parsed.  Carries a 1-based line number and,
+    when given, the path of the document."""
 
-    def __init__(self, line, message):
-        super().__init__(f"line {line}: {message}")
+    def __init__(self, line, message, path=None):
+        where = f"line {line}" if path is None else f"{path}: line {line}"
+        super().__init__(f"{where}: {message}")
         self.line = line
         self.message = message

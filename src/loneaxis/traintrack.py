@@ -48,10 +48,10 @@ def turns_crossed(path):
 class GateStructure:
     """Per-vertex partition of directions into gates, with the illegal turns.
 
-    Two directions share a gate exactly when some iterate of the
-    direction map identifies them; the partition is computed by pulling
-    the discrete partition back through Dg until it stabilizes, which
-    happens within (number of directions)^2 steps.
+    Two directions at a vertex share a gate exactly when some iterate of
+    the direction map identifies them.  With N directions, Dg^N(d) is
+    periodic, and Dg permutes the periodic directions, so no later iterate
+    identifies more: gates are the classes of (Dg^N(d), init vertex of d).
     """
 
     def __init__(self, graph, dmap, gate_of):
@@ -92,37 +92,18 @@ def _gates(g):
         raise PreconditionError("gates need a self-map")
     dmap = direction_map(g)
     dirs = g.domain.oriented
-    part = {d: i for i, d in enumerate(dirs)}  # discrete start
-    for _ in range(len(dirs) ** 2):
-        sig = {d: part[dmap[d]] for d in dirs}
-        ordered = sorted(set(sig.values()))
-        index = {s: i for i, s in enumerate(ordered)}
-        new = {d: index[sig[d]] for d in dirs}
-        # classes only ever merge; stop when one pullback step adds nothing
-        if _partition_classes(new, dirs) == _partition_classes(part, dirs):
-            break
-        part = new
     classes = {}
     for d in dirs:
-        classes.setdefault(part[d], []).append(d)
+        x = d
+        for _ in dirs:
+            x = dmap[x]
+        classes.setdefault((x, g.domain.init_vertex(d)), []).append(d)
     gate_of = {}
-    for members in classes.values():
-        # a gate is the restriction of a class to a single vertex
-        by_vertex = {}
-        for d in members:
-            by_vertex.setdefault(g.domain.init_vertex(d), []).append(d)
-        for ds in by_vertex.values():
-            gate = tuple(sorted(ds))
-            for d in ds:
-                gate_of[d] = gate
+    for ds in classes.values():
+        gate = tuple(sorted(ds))
+        for d in ds:
+            gate_of[d] = gate
     return GateStructure(g.domain, dmap, gate_of)
-
-
-def _partition_classes(part, dirs):
-    classes = {}
-    for d in dirs:
-        classes.setdefault(part[d], set()).add(d)
-    return frozenset(frozenset(c) for c in classes.values())
 
 
 class TrainTrackVerdict:

@@ -85,6 +85,20 @@ def identity_map(rank=2):
     return GraphMap(graph, graph, {"v0": "v0"}, {l: (l,) for l in letters})
 
 
+def random_desk_graph(rng, n_vertices):
+    """Random connected graph with all valences >= 3."""
+    vs = [f"v{i}" for i in range(n_vertices)]
+    ends = {}
+    label = iter(f"e{i}" for i in range(100))
+    for i in range(1, n_vertices):
+        ends[next(label)] = (vs[rng.randrange(i)], vs[i])
+    def valence(v):
+        return sum((u == v) + (w == v) for u, w in ends.values())
+    while any(valence(v) < 3 for v in vs):
+        ends[next(label)] = (rng.choice(vs), rng.choice(vs))
+    return MarkedGraph(ends)
+
+
 def total_image_length(g):
     return sum(len(g.image(e)) for e in g.domain.pairs)
 

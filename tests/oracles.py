@@ -11,10 +11,21 @@ m > 0 and I and p differ in their first min(m, l) edges.  No train track
 theory enters, so the oracle stays independent of the search it checks.
 It is still exponential in the bound, so tests call it at bounds of 12
 or less.
+
+The labeling oracle tries every vertex permutation of a marked graph, so
+it finds every labeling that reaches a given encoding without the
+refinement or the automorphism pruning of the library's search.  The
+isometry oracle is networkx's multigraph isomorphism, with edge lengths
+matched within a tolerance.
 """
 
+import itertools
+
+import networkx as nx
+from networkx.algorithms.isomorphism import numerical_multiedge_match
+
 from loneaxis.errors import PreconditionError
-from loneaxis.graphs import rev_edge
+from loneaxis.graphs import base_label, rev_edge
 from loneaxis.nielsen import (_canonical, _require_rotationless_tt,
                               find_nielsen_paths)
 
@@ -143,3 +154,50 @@ def checked_nielsen_paths(g, bound):
     assert mine == oracle, (f"Nielsen searches disagree: iterative "
                             f"{sorted(mine)} vs brute force {sorted(oracle)}")
     return report
+
+
+def brute_force_labelings(graph, encoding):
+    """Every labeling of the vertices of a marked graph by 0..n-1, as a
+    dict vertex -> label, under which its sorted edge ends spell
+    `encoding`, the format of `canonical_encoding`."""
+    verts = sorted(graph.vertices)
+    ends = [(graph.init_vertex(lbl), graph.term_vertex(lbl)) for lbl in graph.pairs]
+    found = []
+    for perm in itertools.permutations(range(len(verts))):
+        label = dict(zip(verts, perm))
+        pairs = sorted(tuple(sorted((label[u], label[v]))) for u, v in ends)
+        if f"v{len(verts)}:" + ",".join(f"{a}-{b}" for a, b in pairs) == encoding:
+            found.append(label)
+    return found
+
+
+def brute_force_turn_encoding(graph, labelings, decorated_directions):
+    """The least encoding of a decorated turn under the given labelings,
+    in the format of `canonical_turn_encoding`."""
+    best = min(tuple(sorted(((label[graph.init_vertex(d)],
+                              label[graph.term_vertex(d)]), extra)
+                            for d, extra in decorated_directions))
+               for label in labelings)
+    dirs = [d for d, _ in decorated_directions]
+    same_pair = len(dirs) == 2 and base_label(dirs[0]) == base_label(dirs[1])
+    return repr((best, same_pair))
+
+
+def multigraph(graph):
+    """A marked graph as a networkx multigraph, each edge carrying its
+    length as a float when the graph has lengths."""
+    m = nx.MultiGraph()
+    m.add_nodes_from(graph.vertices)
+    for lbl in graph.pairs:
+        extra = {} if graph.lengths is None else {"length": float(graph.lengths[lbl])}
+        m.add_edge(graph.init_vertex(lbl), graph.term_vertex(lbl), **extra)
+    return m
+
+
+def isometric(g1, g2, length_tol=None):
+    """Whether networkx finds an isomorphism between the marked graphs;
+    with a tolerance, one that also matches every edge length to within
+    it."""
+    match = (None if length_tol is None else
+             numerical_multiedge_match("length", None, rtol=0, atol=length_tol))
+    return nx.is_isomorphic(multigraph(g1), multigraph(g2), edge_match=match)

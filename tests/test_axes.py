@@ -5,11 +5,11 @@ import pytest
 
 from loneaxis.errors import NotLoneAxisError, PreconditionError
 from loneaxis.graphs import compose, power, rose_map
-from loneaxis.isomorphism import are_isomorphic
 from loneaxis import axes, spectral, traintrack
 
 from conftest import (cubic_map, cubic_map_relabeled, dumbbell_instance,
                       eight_petal_map, fib_map, identity_map, runaway_map)
+from oracles import isometric
 
 
 class TestStallingsDecomposition:
@@ -108,18 +108,14 @@ class TestFoldLine:
 
     def test_fib_period_endpoint_isometric(self):
         line = axes.fold_line(fib_map(), periods=1, samples_per_period=4)
-        iso = are_isomorphic(line[0], line[-1], respect_lengths=True,
-                             length_tol=1e-8)
-        assert iso is not None
+        assert isometric(line[0], line[-1], length_tol=1e-8)
 
     def test_cubic_two_periods_match(self):
         line = axes.fold_line(cubic_map(), periods=2, samples_per_period=3)
         per = (len(line) - 1) // 2
         assert per >= 1
         for j in range(1, per + 1):
-            iso = are_isomorphic(line[j], line[j + per], respect_lengths=True,
-                                 length_tol=1e-8)
-            assert iso is not None
+            assert isometric(line[j], line[j + per], length_tol=1e-8)
 
     def test_all_graphs_normalized(self):
         for graph in axes.fold_line(cubic_map(), periods=1, samples_per_period=6):

@@ -41,6 +41,8 @@ a -> a b
 b -> a
 """
 
+DOCS = Path(__file__).resolve().parents[1] / "perfbench" / "docs"
+
 
 def run(argv):
     return cli.main(argv)
@@ -148,8 +150,7 @@ class TestRoundTrip:
         assert parse_document(serialize_document(doc)) == doc
 
     def test_benchmark_documents(self):
-        paths = sorted((Path(__file__).resolve().parents[1]
-                        / "perfbench" / "docs").glob("*.txt"))
+        paths = sorted(DOCS.glob("*.txt"))
         assert paths
         for path in paths:
             doc = parse_document(path.read_text())
@@ -326,6 +327,31 @@ class TestSubcommands:
             "map", "lengths\nlength a 1e999\nlength b 1/4\nlength c 1/2\nmap"))
         assert run(["check", str(p)]) == 3
         assert "line 7: length '1e999' is not finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lengths, message", [
+        (["a 0", "b 1", "c 1"], "line 9: length '0' is not positive"),
+        (["a -1/2", "b 1", "c 1"], "line 9: length '-1/2' is not positive"),
+        (["a 1e-999", "b 1", "c 1"], "line 9: length '1e-999' is not positive"),
+        (["a 1", "b 1", "c 1", "z 1"], "line 12: length for unknown edge z"),
+    ])
+    def test_length_errors_name_their_line(self, tmp_path, capsys, lengths,
+                                           message):
+        section = "lengths\n" + "".join(f"length {x}\n" for x in lengths)
+        p = tmp_path / "cubic_lengths.txt"
+        p.write_text((DOCS / "cubic.txt").read_text().replace(
+            "map\n", section + "map\n"))
+        assert run(["check", str(p)]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_conjugate_power_names_the_failing_document(self, h_file, tmp_path,
+                                                        capsys):
+        p = tmp_path / "broken.doc"
+        p.write_text(H_DOC.replace("c -> a b", "c -> a q"))
+        assert run(["conjugate-power", h_file, str(p)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: {p}: line 9: unknown edge token 'q'\n")
+        assert run(["conjugate-power", str(p), h_file]) == 3
+        assert capsys.readouterr().err == "error: line 9: unknown edge token 'q'\n"
 
     def test_input_error_exit(self, tmp_path):
         p = tmp_path / "broken.doc"

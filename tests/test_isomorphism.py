@@ -1,6 +1,7 @@
 """The canonical-form engine: agreement with networkx on simple graphs,
-invariance under relabeling, the cost of symmetric graphs, and golden pins
-of the marked-graph encodings that fold records are built from."""
+agreement with a brute-force labeling on marked graphs, invariance under
+relabeling, the cost of symmetric graphs, and golden pins of the
+marked-graph encodings that fold records are built from."""
 
 import hashlib
 import itertools
@@ -15,13 +16,14 @@ from hypothesis import given, settings, strategies as st
 
 import loneaxis
 from loneaxis import axes, isomorphism
-from loneaxis.graphs import power
+from loneaxis.graphs import MarkedGraph, power
 from loneaxis.isomorphism import (canonical_encoding, canonical_form,
                                   canonical_turn_encoding)
 from loneaxis.whitehead import WhiteheadGraph, whitehead_isomorphic
 
 from conftest import (cubic_map, cubic_map_relabeled, dumbbell_instance,
-                      eight_petal_map, fib_map, rank4_map)
+                      eight_petal_map, fib_map, random_desk_graph, rank4_map)
+from oracles import brute_force_labelings, brute_force_turn_encoding
 
 
 def whitehead_graph(g, prefix="n"):
@@ -153,8 +155,8 @@ def test_form_is_stored_on_the_graph(monkeypatch):
     assert canonical_form(w) is form
 
 
-def leaf_count(monkeypatch, g):
-    """Leaves the search visits for the canonical form of g."""
+def leaf_count(monkeypatch, label, graph):
+    """Leaves the search visits for label(graph)."""
     count = [0]
 
     def counted(*args, _encode=isomorphism._encode):
@@ -163,14 +165,15 @@ def leaf_count(monkeypatch, g):
 
     with monkeypatch.context() as m:
         m.setattr(isomorphism, "_encode", counted)
-        canonical_form(whitehead_graph(g))
+        label(graph)
     return count[0]
 
 
 @pytest.mark.parametrize("n", range(1, 12))
 def test_complete_graph_leaves(monkeypatch, n):
     # unpruned, K_n has n! leaves and K_9 passes the leaf cap
-    assert leaf_count(monkeypatch, nx.complete_graph(n)) <= n * n
+    assert leaf_count(monkeypatch, canonical_form,
+                      whitehead_graph(nx.complete_graph(n))) <= n * n
 
 
 @pytest.mark.parametrize("g", [
@@ -180,7 +183,62 @@ def test_complete_graph_leaves(monkeypatch, n):
     "cube", "petersen", "prism5", "moebius6", "moebius8", "moebius10"])
 def test_symmetric_graph_leaves(monkeypatch, g):
     # unpruned: 48 (cube), 120 (Petersen), 20, 72, 16 and 20 leaves
-    assert leaf_count(monkeypatch, g) <= len(g)
+    assert leaf_count(monkeypatch, canonical_form, whitehead_graph(g)) <= len(g)
+
+
+def marked(edges):
+    """A marked graph with one edge e<i> per (u, v) pair of the list."""
+    return MarkedGraph({f"e{i}": (f"v{u}", f"v{v}")
+                        for i, (u, v) in enumerate(edges)})
+
+
+def nx_marked(g):
+    return marked(nx.convert_node_labels_to_integers(g).edges())
+
+
+SYMMETRIC = {
+    "k4": nx_marked(nx.complete_graph(4)),
+    "k5": nx_marked(nx.complete_graph(5)),
+    "k33": nx_marked(nx.complete_bipartite_graph(3, 3)),
+    "prism": nx_marked(nx.circular_ladder_graph(3)),
+    "cube": nx_marked(nx.hypercube_graph(3)),
+    "theta5": marked([(0, 1)] * 5),
+    "double_c4": marked([(i, (i + 1) % 4) for i in range(4)] * 2),
+    "c5_loops": marked([(i, (i + 1) % 5) for i in range(5)]
+                       + [(i, i) for i in range(5)]),
+}
+
+
+@pytest.mark.parametrize("name, cap", [("k33", 6), ("cube", 8)])
+def test_marked_graph_leaves(monkeypatch, name, cap):
+    # every leaf: 72 (K_3,3) and 48 (cube)
+    assert leaf_count(monkeypatch, canonical_encoding, SYMMETRIC[name]) <= cap
+
+
+def assert_brute_force_labeling(graph):
+    """The encoding is reached by some vertex labeling, and every
+    decorated turn at every vertex is labeled by its least encoding over
+    all the labelings that reach it."""
+    labelings = brute_force_labelings(graph, canonical_encoding(graph))
+    assert labelings
+    for v in sorted(graph.vertices):
+        for d1, d2 in itertools.combinations(graph.directions_at(v), 2):
+            for x1, x2 in itertools.product((False, True), repeat=2):
+                turn = [(d1, x1), (d2, x2)]
+                assert (canonical_turn_encoding(graph, turn)
+                        == brute_force_turn_encoding(graph, labelings, turn)), turn
+
+
+@pytest.mark.parametrize("name", sorted(SYMMETRIC))
+def test_symmetric_marked_graphs_against_brute_force(name):
+    assert_brute_force_labeling(SYMMETRIC[name])
+
+
+def test_random_marked_graphs_against_brute_force():
+    rng = random.Random(20261019)
+    for n in range(1, 8):
+        for _ in range(6):
+            assert_brute_force_labeling(random_desk_graph(rng, n))
 
 
 def test_import_does_not_load_networkx():
@@ -191,6 +249,24 @@ def test_import_does_not_load_networkx():
         capture_output=True, text=True, timeout=120,
         env=dict(os.environ, PYTHONPATH=src))
     assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
+
+
+def test_runtime_path_loads_no_test_package():
+    src = os.path.dirname(os.path.dirname(loneaxis.__file__))
+    docs = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "docs")
+    script = (
+        "import contextlib, io, sys\n"
+        "from loneaxis.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main(['signature', {docs!r} + '/cubic.txt']),\n"
+        f"             main(['conjugate-power', {docs!r} + '/cubic.txt',\n"
+        f"                   {docs!r} + '/cubic_relabeled.txt'])]\n"
+        "print(codes, sorted({'networkx', 'hypothesis'} & set(sys.modules)))\n")
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        timeout=120, env=dict(os.environ, PYTHONPATH=src))
+    assert (done.returncode, done.stdout) == (0, "[0, 0] []\n"), done.stderr
 
 
 def digest(items):

@@ -8,11 +8,27 @@ from loneaxis.errors import PreconditionError
 from loneaxis.graphs import GraphMap, power, rose, rose_map, rev_edge
 from loneaxis import traintrack
 
-from conftest import cubic_map, fib_map, identity_map
+from conftest import (cubic_map, dumbbell_instance, eight_petal_map, fib_map,
+                      identity_map, rank4_map, rank5_map, runaway_map)
 
 
 def turn(a, b):
     return frozenset((a, b))
+
+
+def random_rose_map(rng):
+    """A self-map of a rose of rank 2 to 4 whose edge images are tight
+    words of 1 to 5 letters, inverse letters allowed."""
+    labels = "abcd"[:rng.randint(2, 4)]
+    letters = list(labels) + [x + "'" for x in labels]
+    images = {}
+    for lbl in labels:
+        word = []
+        for _ in range(rng.randint(1, 5)):
+            word.append(rng.choice([x for x in letters
+                                    if not word or x != rev_edge(word[-1])]))
+        images[lbl] = " ".join(word)
+    return rose_map(images)
 
 
 class TestDirectionMap:
@@ -64,9 +80,13 @@ class TestGates:
                 assert set(gk.gate_of[d]) <= set(g1.gate_of[d])
 
     def test_gate_orbit_oracle(self, small_corpus):
-        # two directions share a gate iff some iterate of Dg (depth <= 20)
-        # sends them to the same direction
-        for g in small_corpus:
+        # the definition: two directions at a vertex share a gate iff some
+        # iterate Dg^k with k <= N^2, for N directions, identifies them
+        rng = random.Random(18)
+        maps = [fib_map(), cubic_map(), dumbbell_instance(), eight_petal_map(),
+                rank4_map(), rank5_map(), runaway_map(), identity_map(3)]
+        maps += small_corpus + [random_rose_map(rng) for _ in range(200)]
+        for g in maps:
             dm = traintrack.direction_map(g)
             gs = traintrack.gates(g)
             dirs = g.domain.oriented
@@ -75,7 +95,7 @@ class TestGates:
                     continue
                 x, y = d1, d2
                 identified = False
-                for _ in range(20):
+                for _ in range(len(dirs) ** 2):
                     x, y = dm[x], dm[y]
                     if x == y:
                         identified = True
