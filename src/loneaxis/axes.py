@@ -26,13 +26,14 @@ import json
 import math
 from collections.abc import Sequence
 from fractions import Fraction
+from itertools import chain, islice
 
 from .errors import (DecompositionError, InternalCheckError,
                      InvalidGraphError, NielsenPathPresentError,
                      NotLoneAxisError, PreconditionError)
 from .graphs import (GraphMap, MarkedGraph, base_label, check_image,
                      check_incidence, compose, power, rev_edge)
-from .isomorphism import canonical_encoding, canonical_turn_encoding
+from .isomorphism import canonical_encodings
 from . import nielsen, spectral, traintrack, whitehead
 
 SUBDIVIDE = "subdivide"
@@ -640,29 +641,25 @@ def _fold_edge_images(g: GraphMap):
 
     for e in dom.pairs:
         img = g.image(e)
-        u = index[dom.init_vertex(e)]
-        for x in img[:-1]:
-            w = len(labels)
-            labels.append(cod.term_vertex(x))
-            out.append({})
-            link(u, x, w)
-            link(w, rev_edge(x), u)
-            u = w
-        w = index[dom.term_vertex(e)]
-        link(u, img[-1], w)
-        link(w, rev_edge(img[-1]), u)
+        u, w = index[dom.init_vertex(e)], index[dom.term_vertex(e)]
+        # the n - 1 interior nodes b..b+n-2 are built in bulk: each has the
+        # two links of a tight image, which never collide
+        n, b = len(img), len(labels)
+        link(u, img[0], b if n > 1 else w)
+        link(w, rev_edge(img[-1]), b + n - 2 if n > 1 else u)
+        labels.extend(map(cod._term.__getitem__, islice(img, n - 1)))
+        out.extend(map(dict, zip(
+            zip(map(rev_edge, islice(img, n - 1)), chain((u,), range(b, b + n - 2))),
+            zip(islice(img, 1, None), chain(range(b + 1, b + n - 1), (w,))))))
 
     parent = list(range(len(labels)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
     while pending:
         a, b = pending.pop()
-        a, b = find(a), find(b)
+        # find both roots, halving the paths
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
         if a == b:
             continue
         if labels[a] != labels[b]:
@@ -841,9 +838,9 @@ def _fold_records(seq: FoldSequence):
         move = seq.moves[fold_idx]
         graph = seq.graphs[start_idx]
         d1, d2 = move.turn
-        turn_enc = canonical_turn_encoding(
+        encoding, turn_enc = canonical_encodings(
             graph, [(d1, move.consumed[0]), (d2, move.consumed[1])])
-        records.append(f"{canonical_encoding(graph)}#{turn_enc}")
+        records.append(f"{encoding}#{turn_enc}")
     return records
 
 

@@ -94,6 +94,8 @@ def parse_document(text: str) -> GraphMapDocument:
     length_lines: dict[str, int] = {}
     rules: dict[str, tuple] = {}
     rule_lines: dict[str, int] = {}
+    # first line of each section header, for errors about a whole section
+    header_lines: dict[str, int] = {}
     section = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -109,6 +111,7 @@ def parse_document(text: str) -> GraphMapDocument:
             fully_irreducible = True
         elif line in ("graph", "map", "lengths"):
             section = line
+            header_lines.setdefault(line, lineno)
         elif head == "vertex":
             if section != "graph":
                 raise ParseError(lineno, "vertex line outside the graph section")
@@ -164,7 +167,8 @@ def parse_document(text: str) -> GraphMapDocument:
             raise ParseError(length_lines[lbl], f"length for unknown edge {lbl}")
     if lengths and set(lengths) != set(edges):
         missing = sorted(set(edges) - set(lengths))[0]
-        raise ParseError(1, f"lengths section misses edge {missing}")
+        raise ParseError(header_lines["lengths"],
+                         f"lengths section misses edge {missing}")
 
     try:
         graph = MarkedGraph(edges, lengths=lengths or None)
@@ -176,7 +180,8 @@ def parse_document(text: str) -> GraphMapDocument:
 
     for lbl in edges:
         if lbl not in rules:
-            raise ParseError(1, f"no image rule for edge {lbl}")
+            raise ParseError(header_lines.get("map", 1),
+                             f"no image rule for edge {lbl}")
     for lbl in rules:
         if lbl not in edges:
             raise ParseError(rule_lines[lbl], f"image rule for unknown edge {lbl}")

@@ -8,32 +8,51 @@ initial vertex is v, so directions need no separate type.
 
 Paths are tuples of oriented edge labels.  A path is *tight* when no
 edge is immediately followed by its reverse.
+
+``rev_edge`` and ``base_label`` are lookups in one module-level table
+each, which computes the reverse (or the positive label) of a label on
+its first lookup and stores it.  Every reversed letter of every image is
+then the one string the table holds, so images share their label
+objects, and the per-letter scans below (``rev_path``, ``is_tight``,
+``MarkedGraph.is_path``, ``GraphMap.apply_path``) run in C builtins over
+the tables' ``__getitem__``.  A table grows with the number of distinct
+labels seen, not with the number of lookups.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import islice
+from operator import eq
 
 from .errors import InvalidGraphError, InvalidMapError
 
 VOLUME_TOL = 1e-12
 
 
-def rev_edge(e: str) -> str:
-    return e[:-1] if e.endswith("'") else e + "'"
+class _LabelTable(dict):
+    """label -> f(label), computed on the first lookup and stored."""
+
+    def __init__(self, f):
+        super().__init__()
+        self._f = f
+
+    def __missing__(self, e):
+        self[e] = value = self._f(e)
+        return value
 
 
-def base_label(e: str) -> str:
-    """Positive label of the pair containing e."""
-    return e[:-1] if e.endswith("'") else e
+rev_edge = _LabelTable(lambda e: e[:-1] if e.endswith("'") else e + "'").__getitem__
+# positive label of the pair containing e
+base_label = _LabelTable(lambda e: e[:-1] if e.endswith("'") else e).__getitem__
 
 
 def rev_path(path):
-    return tuple(rev_edge(e) for e in reversed(path))
+    return tuple(map(rev_edge, reversed(path)))
 
 
 def is_tight(path) -> bool:
-    return all(path[i + 1] != rev_edge(path[i]) for i in range(len(path) - 1))
+    return not any(map(eq, map(rev_edge, path), islice(path, 1, None)))
 
 
 def check_incidence(at, term, subdivision_vertices):
@@ -170,11 +189,9 @@ class MarkedGraph:
 
     def is_path(self, path) -> bool:
         """Edges exist and consecutive endpoints match."""
-        for e in path:
-            if e not in self._init:
-                return False
-        return all(self._term[path[i]] == self._init[path[i + 1]]
-                   for i in range(len(path) - 1))
+        return (all(map(self._init.__contains__, path))
+                and all(map(eq, map(self._term.__getitem__, path),
+                            map(self._init.__getitem__, islice(path, 1, None)))))
 
     def __eq__(self, other):
         if not isinstance(other, MarkedGraph):
@@ -275,17 +292,22 @@ class GraphMap(DerivedStore):
     def apply_path(self, path):
         """Tightened image of a path (the # operation).
 
-        The input need not be tight; cancellation is handled on the fly.
+        The input need not be tight.  Every stored image is tight, so
+        letters cancel only where the output so far meets the next image:
+        the longest prefix of the image that reverses the end of the
+        output is cancelled, and the rest is appended whole.
         """
         out = []
         for e in path:
             if e not in self._images:
                 raise InvalidMapError(f"edge {e} is not in the domain")
-            for x in self._images[e]:
-                if out and out[-1] == rev_edge(x):
-                    out.pop()
-                else:
-                    out.append(x)
+            img = self._images[e]
+            c, n = 0, min(len(out), len(img))
+            while c < n and out[-1 - c] == rev_edge(img[c]):
+                c += 1
+            if c:
+                del out[-c:]
+            out.extend(img[c:])
         return tuple(out)
 
     def is_self_map(self):
@@ -325,7 +347,9 @@ def power(g: GraphMap, k: int) -> GraphMap:
         raise InvalidMapError("power must be a positive integer")
     out = g
     for _ in range(k - 1):
-        out = compose(g, out)
+        # g^j . g, so each step walks the short images of g and appends
+        # the long images of g^j whole
+        out = compose(out, g)
     return out
 
 

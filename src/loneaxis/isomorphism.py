@@ -221,7 +221,13 @@ def canonical_turn_encoding(graph, decorated_directions) -> str:
     the result is the minimum over all minimal canonical labelings, so
     it is invariant under graph isomorphism.
     """
-    index, (_, ranks, automorphisms) = _search(graph)
+    return canonical_encodings(graph, decorated_directions)[1]
+
+
+def canonical_encodings(graph, decorated_directions):
+    """``canonical_encoding(graph)`` and ``canonical_turn_encoding(graph,
+    decorated_directions)``, from one labeling search."""
+    index, (encoding, ranks, automorphisms) = _search(graph)
     dirs = [d for d, _ in decorated_directions]
     ends = tuple((index[graph.init_vertex(d)], index[graph.term_vertex(d)])
                  for d in dirs)
@@ -229,4 +235,4 @@ def canonical_turn_encoding(graph, decorated_directions) -> str:
                             in zip(x, decorated_directions)))
                for x in _orbit(ends, automorphisms))
     same_pair = len(dirs) == 2 and base_label(dirs[0]) == base_label(dirs[1])
-    return repr((best, same_pair))
+    return _format(len(index), encoding), repr((best, same_pair))

@@ -221,7 +221,8 @@ def eigenmetric(g: GraphMap, pf: PFData | None = None):
 def _eigenmetric(g, pf):
     graph = g.domain.with_lengths(pf.edge_lengths, normalized=True)
     for e in graph.pairs:
-        img_len = sum(pf.edge_lengths[base_label(f)] for f in g.image(e))
+        # left to right, as the floats and the message depend on the order
+        img_len = sum(map(pf.edge_lengths.__getitem__, map(base_label, g.image(e))))
         if abs(img_len - pf.lam * pf.edge_lengths[e]) > 1e-9:
             raise PreconditionError(
                 f"affine check failed on edge {e}: image length {img_len}")

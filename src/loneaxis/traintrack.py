@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import islice
 
 from .errors import PreconditionError
 from .graphs import GraphMap, ReadOnlyDict, rev_edge
@@ -39,10 +40,12 @@ def _direction_map(g):
 
 def turns_crossed(path):
     """Turns taken at the interior points of a path."""
-    out = []
-    for i in range(len(path) - 1):
-        out.append(frozenset((rev_edge(path[i]), path[i + 1])))
-    return out
+    return list(map(frozenset, _turn_pairs(path)))
+
+
+def _turn_pairs(path):
+    """(reversed incoming, outgoing) direction at each interior point."""
+    return zip(map(rev_edge, path), islice(path, 1, None))
 
 
 class GateStructure:
@@ -239,9 +242,10 @@ def _taken_turns(g):
     if spectral.matrix_class(spectral.transition_matrix(g)) != spectral.PRIMITIVE:
         raise PreconditionError("transition matrix is not primitive")
     dmap = direction_map(g)
-    frontier = set()
+    pairs = set()
     for e in g.domain.pairs:
-        frontier.update(turns_crossed(g.image(e)))
+        pairs.update(_turn_pairs(g.image(e)))
+    frontier = set(map(frozenset, pairs))
     taken = set()
     while frontier:
         turn = frontier.pop()

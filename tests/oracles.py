@@ -12,6 +12,12 @@ theory enters, so the oracle stays independent of the search it checks.
 It is still exponential in the bound, so tests call it at bounds of 12
 or less.
 
+The kernel oracles are the path helpers of the library written one
+interpreted step per letter, with reverses computed afresh: reversal,
+tightness, the path check, the tightened image of a path, the turns a
+path crosses, and the union-find fold of the edge images that links every
+interior letter one at a time.
+
 The labeling oracle tries every vertex permutation of a marked graph, so
 it finds every labeling that reaches a given encoding without the
 refinement or the automorphism pruning of the library's search.  The
@@ -24,10 +30,110 @@ import itertools
 import networkx as nx
 from networkx.algorithms.isomorphism import numerical_multiedge_match
 
-from loneaxis.errors import PreconditionError
-from loneaxis.graphs import base_label, rev_edge
+from loneaxis.errors import (InternalCheckError, InvalidMapError,
+                             PreconditionError)
+from loneaxis.graphs import base_label
 from loneaxis.nielsen import (_canonical, _require_rotationless_tt,
                               find_nielsen_paths)
+
+
+def rev_edge(e):
+    return e[:-1] if e.endswith("'") else e + "'"
+
+
+def rev_path(path):
+    return tuple(rev_edge(e) for e in reversed(path))
+
+
+def is_tight(path):
+    return all(path[i + 1] != rev_edge(path[i]) for i in range(len(path) - 1))
+
+
+def is_path(graph, path):
+    """Edges exist and consecutive endpoints match."""
+    for e in path:
+        if e not in graph.oriented:
+            return False
+    return all(graph.term_vertex(path[i]) == graph.init_vertex(path[i + 1])
+               for i in range(len(path) - 1))
+
+
+def apply_path(g, path):
+    """Tightened image of a path, letter by letter: each letter of each
+    image cancels the last letter of the output or is appended."""
+    out = []
+    for e in path:
+        if e not in g.domain.oriented:
+            raise InvalidMapError(f"edge {e} is not in the domain")
+        for x in g.image(e):
+            if out and out[-1] == rev_edge(x):
+                out.pop()
+            else:
+                out.append(x)
+    return tuple(out)
+
+
+def turns_crossed(path):
+    """Turns taken at the interior points of a path."""
+    return [frozenset((rev_edge(path[i]), path[i + 1]))
+            for i in range(len(path) - 1)]
+
+
+def fold_edge_images(g):
+    """Union-find Stallings fold of the edge images, in the format of
+    `axes._fold_edge_images`, linking every letter through one call."""
+    dom, cod = g.domain, g.codomain
+    vertices = sorted(dom.vertices)
+    index = {v: i for i, v in enumerate(vertices)}
+    labels = [g.vertex_map[v] for v in vertices]
+    out = [{} for _ in labels]
+    pending = []
+
+    def link(u, x, w):
+        t = out[u].setdefault(x, w)
+        if t != w:
+            pending.append((t, w))
+
+    for e in dom.pairs:
+        img = g.image(e)
+        u = index[dom.init_vertex(e)]
+        for x in img[:-1]:
+            w = len(labels)
+            labels.append(cod.term_vertex(x))
+            out.append({})
+            link(u, x, w)
+            link(w, rev_edge(x), u)
+            u = w
+        w = index[dom.term_vertex(e)]
+        link(u, img[-1], w)
+        link(w, rev_edge(img[-1]), u)
+
+    parent = list(range(len(labels)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    while pending:
+        a, b = pending.pop()
+        a, b = find(a), find(b)
+        if a == b:
+            continue
+        if labels[a] != labels[b]:
+            raise InternalCheckError(
+                f"fold merged nodes over codomain vertices {labels[a]} "
+                f"and {labels[b]}")
+        if len(out[a]) < len(out[b]):
+            a, b = b, a
+        parent[b] = a
+        for x, t in out[b].items():
+            s = out[a].setdefault(x, t)
+            if s != t:
+                pending.append((s, t))
+        out[b] = None
+    return labels, parent, out
 
 
 def tighten(path):

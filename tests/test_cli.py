@@ -343,6 +343,25 @@ class TestSubcommands:
         assert run(["check", str(p)]) == 3
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("edit, message", [
+        # cubic.txt: the map header is line 8, unless a lengths section
+        # put before it takes line 8 and pushes it down
+        (lambda t: t.replace("map\n", "lengths\nlength a 1\nlength b 1\nmap\n"),
+         "line 8: lengths section misses edge c"),
+        (lambda t: t.replace("c -> a b\n", ""),
+         "line 8: no image rule for edge c"),
+        (lambda t: t.replace("map\n", "lengths\nlength a 1\nlength b 1\n"
+                             "length c 1\nmap\n").replace("b -> c\n", ""),
+         "line 12: no image rule for edge b"),
+        (lambda t: t[:t.index("map\n")], "line 1: no image rule for edge a"),
+    ])
+    def test_section_errors_name_the_section_header(self, tmp_path, capsys,
+                                                    edit, message):
+        p = tmp_path / "cubic_section.txt"
+        p.write_text(edit((DOCS / "cubic.txt").read_text()))
+        assert run(["check", str(p)]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_conjugate_power_names_the_failing_document(self, h_file, tmp_path,
                                                         capsys):
         p = tmp_path / "broken.doc"

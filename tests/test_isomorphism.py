@@ -324,3 +324,16 @@ def test_recorded_encodings(name):
         graphs, turns = stage_encodings(axes.rotationless_power(g)[0])
         assert (len(graphs), digest(graphs), len(turns), digest(turns)) == rotationless
         assert axes.axis_signature(g).records == CUBIC_RECORDS
+
+
+@pytest.mark.parametrize("name", ["fib", "cubic", "cubic4"])
+def test_one_labeling_search_per_fold_record(name, monkeypatch):
+    seq = axes.stallings_decomposition(MAPS[name]())
+    searches = []
+
+    def counted(*args, _leaves=isomorphism._leaves):
+        searches.append(args)
+        return _leaves(*args)
+    monkeypatch.setattr(isomorphism, "_leaves", counted)
+    records = axes._fold_records(seq)
+    assert len(searches) == len(records) == len(seq.fold_rounds) > 0
