@@ -29,8 +29,8 @@ from fractions import Fraction
 from itertools import chain, islice
 
 from .errors import (DecompositionError, InternalCheckError,
-                     InvalidGraphError, NielsenPathPresentError,
-                     NotLoneAxisError, PreconditionError)
+                     NielsenPathPresentError, NotLoneAxisError,
+                     PreconditionError)
 from .graphs import (GraphMap, MarkedGraph, base_label, check_image,
                      check_incidence, compose, power, rev_edge)
 from .isomorphism import canonical_encodings
@@ -58,7 +58,7 @@ class FoldMove:
     """
 
     def __init__(self, kind, build_map, turn=None, prefix=None, consumed=None,
-                 edge=None, split_index=None, split_length=None):
+                 edge=None, split_index=None):
         self.kind = kind
         self._build_map = build_map
         self.turn = turn
@@ -66,7 +66,6 @@ class FoldMove:
         self.consumed = consumed
         self.edge = edge
         self.split_index = split_index
-        self.split_length = split_length
 
     @functools.cached_property
     def map(self):
@@ -119,21 +118,11 @@ class FoldSequence:
         self.fold_rounds = tuple(fold_rounds)
 
     @property
-    def source(self):
-        return self.graphs[0]
-
-    @property
     def target(self):
         return self.source_map.codomain
 
     def fold_count(self):
         return sum(1 for m in self.moves if m.kind == FOLD)
-
-    def recompose(self) -> GraphMap:
-        total = None
-        for move in self.moves:
-            total = move.map if total is None else compose(move.map, total)
-        return total
 
     def induced_representative(self, stage: int) -> GraphMap:
         """Self-map of graphs[stage] obtained by rotating the factorization:
@@ -161,8 +150,6 @@ class FoldSequence:
             elif move.kind == SUBDIVIDE:
                 entry["edge"] = move.edge
                 entry["split_index"] = move.split_index
-                if move.split_length is not None:
-                    entry["split_length"] = float(move.split_length)
             out.append(entry)
         return json.dumps({"moves": out}, indent=2, sort_keys=True)
 
@@ -192,12 +179,10 @@ class _State:
     map are built when read.
     """
 
-    def __init__(self, g: GraphMap, lam):
+    def __init__(self, g: GraphMap):
         dom = g.domain
         self.source = g
         self.cod = g.codomain
-        # the stages carry lengths only over a metric codomain with lam
-        self.lam = lam if self.cod.lengths is not None else None
         self.ends = dict(dom.edge_ends)
         self.img = {e: g.image(e) for e in dom.oriented}
         self.init = {e: dom.init_vertex(e) for e in dom.oriented}
@@ -205,8 +190,6 @@ class _State:
         self.at = {v: set(dom.directions_at(v)) for v in dom.vertices}
         self.vmap = dict(g.vertex_map)
         self.subdiv = set(dom.subdivision_vertices)
-        # the residual metric, over the stretch; the first move sets it
-        self.lengths = None
         # vertex -> (number of foldable turns, least one), for the
         # vertices not in `dirty`
         self.turns = {}
@@ -214,7 +197,7 @@ class _State:
         # per move: (images of the edges it changes, (merged, kept) vertex)
         self.changes = []
         # per stage after the first: (edge ends, images, vertex map,
-        # subdivision flags, lengths)
+        # subdivision flags)
         self.stages = [None]
         self.counter = itertools.count(1)
         # fresh names must dodge everything ever seen, or a later fold
@@ -266,8 +249,6 @@ class _State:
         for x in (e, r):
             del self.img[x], self.init[x], self.term[x]
         del self.ends[e]
-        if self.lengths is not None:
-            del self.lengths[e]
 
     def _add_edge(self, e, u, v, img, rimg):
         r = rev_edge(e)
@@ -288,25 +269,13 @@ class _State:
         distinct images, so its endpoints keep theirs.
         """
         check_incidence(self.at, self.term, self.subdiv)
-        if self.lam is not None:
-            if self.lengths is None:
-                self.lengths = {}
-                new_edges = tuple(self.ends)
-            # the residual image length over the stretch, so folds are
-            # isometric and nothing drifts
-            for e in new_edges:
-                x = self.cod.path_length(self.img[e]) / self.lam
-                if not x > 0:
-                    raise InvalidGraphError(f"edge {e} has non-positive length")
-                self.lengths[e] = x
         for e in sorted(new_edges):
             u, v = self.ends[e]
             check_image(self.cod, e, self.img[e], self.vmap[u], self.vmap[v])
         self.changes.append((changed, merge))
         self.stages.append((
             dict(self.ends), {e: self.img[e] for e in self.ends},
-            dict(self.vmap), frozenset(self.subdiv),
-            None if self.lengths is None else dict(self.lengths)))
+            dict(self.vmap), frozenset(self.subdiv)))
         return functools.partial(self._move_map, len(self.changes) - 1)
 
     def subdivide(self, d, keep):
@@ -322,10 +291,6 @@ class _State:
             raise DecompositionError(f"bad split of {e} at {split}")
         e1, e2, w = self._fresh_pieces(e)
         u, v = self.ends[e]
-        # the split length is recorded when the graph being split has lengths
-        had_lengths = (self.lengths is not None if len(self.stages) > 1
-                       else self.source.domain.lengths is not None)
-
         self._remove_edge(e)
         self.at[w] = set()
         # both orientations of the pieces are slices: nothing is reversed
@@ -335,12 +300,7 @@ class _State:
         self.subdiv.add(w)
         self.dirty.update((u, v, w))
         build = self._commit((e1, e2), {e: (e1, e2)}, None)
-
-        split_length = None
-        if had_lengths and self.lengths is not None:
-            split_length = self.lengths[e1]
-        move = FoldMove(SUBDIVIDE, build, edge=e, split_index=split,
-                        split_length=split_length)
+        move = FoldMove(SUBDIVIDE, build, edge=e, split_index=split)
         if d == e:
             return move, e1, rev_edge(e2)
         return move, rev_edge(e2), e1
@@ -423,13 +383,13 @@ class _State:
     def _graph(self, i):
         if i == 0:
             return self.source.domain
-        ends, _, _, subdiv, lengths = self.stages[i]
-        return MarkedGraph(ends, lengths=lengths, subdivision_vertices=subdiv)
+        ends, _, _, subdiv = self.stages[i]
+        return MarkedGraph(ends, subdivision_vertices=subdiv)
 
     def _residual(self, i):
         if i == 0:
             return self.source
-        _, images, vmap, _, _ = self.stages[i]
+        _, images, vmap, _ = self.stages[i]
         return GraphMap(self.graphs[i], self.cod, vmap, images)
 
     def _move_map(self, i):
@@ -441,21 +401,20 @@ class _State:
                         {e: changed.get(e, (e,)) for e in dom.pairs})
 
 
-def stallings_decomposition(g: GraphMap, lam=None) -> FoldSequence:
+def stallings_decomposition(g: GraphMap) -> FoldSequence:
     """Factor a tight homotopy equivalence into folds and a homeomorphism.
 
-    When both graphs carry lengths and ``lam`` (the stretch factor of g)
-    is given, the intermediate graphs are metrized by pushing the metric
-    through the folds.  The canonical choice at each round is the least
-    foldable turn; the number of candidates per round is recorded so
-    callers can certify uniqueness.  The folds run on one table updated
-    in place; the stage graphs, residuals and move maps are built only
-    when read.
+    The decomposition is combinatorial: the stage graphs after the first
+    carry no lengths, whatever the input's.  The canonical choice at each
+    round is the least foldable turn; the number of candidates per round
+    is recorded so callers can certify uniqueness.  The folds run on one
+    table updated in place; the stage graphs, residuals and move maps are
+    built only when read.
     """
     for e in g.domain.pairs:
         if not g.image(e):
             raise PreconditionError("decomposition needs nonempty edge images")
-    state = _State(g, lam)
+    state = _State(g)
     moves = []
     fold_rounds = []
     cap = 10 * len(g.domain.pairs) * max(len(g.image(e)) for e in g.domain.pairs)
@@ -511,46 +470,53 @@ def _with_graphs(g: GraphMap, dom, cod) -> GraphMap:
     return GraphMap(dom, cod, g.vertex_map, g.edge_images())
 
 
+def _stage_metric(seq: FoldSequence, i: int, lam) -> MarkedGraph:
+    """graphs[i] with each edge as long as its residual image in the
+    metric codomain, over the stretch lam, so that every fold is an
+    isometry and nothing drifts."""
+    graph, resid = seq.graphs[i], seq.residuals[i]
+    cod = resid.codomain
+    return graph.with_lengths({e: cod.path_length(resid.image(e)) / lam
+                               for e in graph.edge_ends})
+
+
 def fold_line(g: GraphMap, periods: int, samples_per_period: int):
     """Discretized periodic fold line through volume-1 marked graphs.
 
     Starts at the eigenmetric graph and repeatedly decomposes the
-    representative, renormalizing each intermediate graph to volume 1;
-    the graph after one full period is isometric to the starting one
-    (the stretch is absorbed by the normalization).  Returns a list of
-    MarkedGraphs: the start plus `samples_per_period` evenly spaced
-    fold states per period.
+    representative, metrizing each sampled intermediate graph and
+    renormalizing it to volume 1; the graph after one full period is
+    isometric to the starting one (the stretch is absorbed by the
+    normalization).  Returns a list of MarkedGraphs: the start plus
+    `samples_per_period` evenly spaced fold states per period.
     """
     if periods < 0 or samples_per_period < 0:
         raise PreconditionError("periods and samples must be nonnegative")
     verdict = traintrack.is_train_track(g)
     if not verdict:
         raise PreconditionError(f"not a train track map: {verdict}")
-    tm = spectral.transition_matrix(g)
-    if spectral.matrix_class(tm) != spectral.PRIMITIVE:
+    if spectral.matrix_class(spectral.transition_matrix(g)) != spectral.PRIMITIVE:
         raise PreconditionError("fold lines need a primitive transition matrix")
-    pf = spectral.pf_data(tm)
-    graph0 = spectral.eigenmetric(g, pf)
+    lam = spectral.dilatation(g)
+    graph0 = spectral.eigenmetric(g)
     current = _with_graphs(g, graph0, graph0)
 
     line = [_normalized(graph0)]
     for _ in range(periods):
-        seq = stallings_decomposition(current, lam=pf.lam)
-        states = [seq.graphs[idx + 1]
-                  for _, idx, _ in seq.fold_rounds]  # graph after each fold
-        if samples_per_period and states:
-            n = len(states)
+        seq = stallings_decomposition(current)
+        # the stage after each fold
+        stages = [idx + 1 for _, idx, _ in seq.fold_rounds]
+        if samples_per_period and stages:
+            n = len(stages)
             picks = sorted({max(1, round(j * n / samples_per_period))
                             for j in range(1, samples_per_period + 1)})
-            line += [_normalized(states[i - 1]) for i in picks]
-        # representative at the end of the period: residual then the folds
-        chain = None
-        for move in seq.moves[:-1]:
-            chain = move.map if chain is None else compose(move.map, chain)
-        homeo = seq.moves[-1].map
-        nxt = compose(chain, homeo) if chain is not None else homeo
-        end_graph = _normalized(nxt.domain)
-        current = _with_graphs(nxt, end_graph, end_graph)
+            line += [_normalized(_stage_metric(seq, stages[i - 1], lam))
+                     for i in picks]
+        # the representative at the end of the period
+        last = len(seq.graphs) - 1
+        end_graph = _normalized(_stage_metric(seq, last, lam))
+        current = _with_graphs(seq.induced_representative(last),
+                               end_graph, end_graph)
     return line
 
 
@@ -754,9 +720,9 @@ def lone_axis_decision(g: GraphMap, np_bound: int = nielsen.DEFAULT_BOUND,
     if not np_report.exhaustive:
         return LoneAxisReport(np_free=None, overall="unknown", **common)
 
-    idx = whitehead.index_report(grot, np_bound, nielsen_report=np_report)
+    idx = whitehead.index_report(grot, np_bound)
     cond_index = idx.index_sum == Fraction(3, 2) - r
-    iw = whitehead.ideal_whitehead_graph(grot, np_bound, nielsen_report=np_report)
+    iw = whitehead.ideal_whitehead_graph(grot, np_bound)
     cond_cut = not whitehead.cut_vertices(iw)
     unique_turn = traintrack.illegal_turn_count(grot) == 1
     if cond_index and not unique_turn:
@@ -844,20 +810,24 @@ def _fold_records(seq: FoldSequence):
     return records
 
 
-def axis_signature(g: GraphMap, np_bound: int = nielsen.DEFAULT_BOUND,
-                   decision: LoneAxisReport | None = None) -> AxisSignature:
+def axis_signature(g: GraphMap,
+                   np_bound: int = nielsen.DEFAULT_BOUND) -> AxisSignature:
     """Signature of the unique periodic fold line through the input.
 
     Defined only when the lone-axis decision is affirmative at least
     conditionally; the unique illegal turn at every stage makes the
     decomposition canonical, and relabeling the input cannot change the
-    records.  A precomputed decision may be passed to avoid repeating
-    the Nielsen search.
+    records.
     """
-    report = decision if decision is not None else lone_axis_decision(g, np_bound)
+    report = lone_axis_decision(g, np_bound)
     if report.overall not in ("conditional", "lone-axis"):
         raise NotLoneAxisError(
             f"axis signature undefined: decision is {report.overall}")
+    return _signature(g)
+
+
+def _signature(g):
+    """The signature of a map already decided lone-axis (or conditional)."""
     grot, exponent = rotationless_power(g)
     records = grot._derived("fold_records", _fold_records_of)
     primitive, reps = _primitive_rotation(records)
@@ -923,8 +893,7 @@ def conjugate_power_check(g1: GraphMap, g2: GraphMap, max_power: int = 10,
                 "inapplicable",
                 detail=f"{tag} input is {rep.overall}; signatures undefined")
         decisions.append(rep)
-    s1 = axis_signature(g1, np_bound, decision=decisions[0])
-    s2 = axis_signature(g2, np_bound, decision=decisions[1])
+    s1, s2 = _signature(g1), _signature(g2)
     if s1.records != s2.records:
         return ConjugacyVerdict("not-detected",
                                 detail="primitive fold records differ")

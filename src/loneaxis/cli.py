@@ -173,7 +173,7 @@ def parse_document(text: str) -> GraphMapDocument:
     try:
         graph = MarkedGraph(edges, lengths=lengths or None)
     except LoneAxisError as ex:
-        raise ParseError(1, str(ex))
+        raise ParseError(header_lines["graph"], str(ex))
     if set(graph.vertices) != set(vertices):
         unused = sorted(set(vertices) - set(graph.vertices))[0]
         raise ParseError(vertices[unused], f"vertex {unused} touches no edge")
@@ -194,6 +194,9 @@ def parse_document(text: str) -> GraphMapDocument:
                              f"non-tight image for {lbl}: {' '.join(word)}")
         if not word:
             raise ParseError(rule_lines[lbl], f"empty image for {lbl}")
+        if not graph.is_path(word):
+            raise ParseError(rule_lines[lbl],
+                             f"image of {lbl} is not a path: {' '.join(word)}")
 
     # vertex map is forced by where edge images start
     vmap = {}

@@ -213,7 +213,7 @@ def _proven_leg_bound(g):
     pf = spectral.pf_data(spectral.transition_matrix(g))
     # the search does not use the eigenmetric; building it runs the
     # affine check, which validates the PF data this bound rests on
-    spectral.eigenmetric(g, pf)
+    spectral.eigenmetric(g)
     lam = pf.lam
     max_len = max(pf.edge_lengths.values())
     min_len = min(pf.edge_lengths.values())
@@ -284,7 +284,7 @@ def ageometric_certificate(g: GraphMap, bound: int = DEFAULT_BOUND) -> str:
     if stable is False:
         return "not-ageometric"
     gs = traintrack.gates(g)
-    ps = traintrack.periodic_structure(g, nielsen_free=True)
+    ps = traintrack.periodic_structure(g)
     index_sum = sum((1 - Fraction(gs.gate_count(v), 2)
                      for v in ps.principal_vertices), Fraction(0))
     r = g.domain.rank()

@@ -206,19 +206,18 @@ def _pf_data(tm):
     return PFData(lam, lengths, residual)
 
 
-def eigenmetric(g: GraphMap, pf: PFData | None = None):
+def eigenmetric(g: GraphMap):
     """Domain graph remetrized so that g stretches every edge by lam.
 
     Verifies the affine property: the image of each edge has length
-    lam times the edge, within 1e-9.  Stored on g per PF data and shared
-    by every caller.
+    lam times the edge, within 1e-9.  Stored on g and shared by every
+    caller.
     """
-    if pf is None:
-        pf = pf_data(transition_matrix(g))
-    return g._derived(("eigenmetric", pf), lambda g: _eigenmetric(g, pf))
+    return g._derived("eigenmetric", _eigenmetric)
 
 
-def _eigenmetric(g, pf):
+def _eigenmetric(g):
+    pf = pf_data(transition_matrix(g))
     graph = g.domain.with_lengths(pf.edge_lengths, normalized=True)
     for e in graph.pairs:
         # left to right, as the floats and the message depend on the order

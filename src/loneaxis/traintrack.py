@@ -161,37 +161,32 @@ def _orbit_period(start, step):
 
 class PeriodicStructure:
     def __init__(self, vertex_periods, direction_periods, principal_vertices,
-                 rotationless_exponent, principal_complete):
+                 rotationless_exponent):
         self.vertex_periods = ReadOnlyDict(vertex_periods)
         self.direction_periods = ReadOnlyDict(direction_periods)
         self.principal_vertices = tuple(principal_vertices)
         self.rotationless_exponent = int(rotationless_exponent)
-        # False while Nielsen path endpoints might still add principal
-        # vertices; True once the caller has certified NP-freeness.
-        self.principal_complete = bool(principal_complete)
 
     def __repr__(self):
         return (f"PeriodicStructure(principal={self.principal_vertices}, "
                 f"exponent={self.rotationless_exponent})")
 
 
-def periodic_structure(g: GraphMap, nielsen_free=None) -> PeriodicStructure:
+def periodic_structure(g: GraphMap) -> PeriodicStructure:
     """Periodic vertices and directions with exact periods.
 
     Principal vertices are reported as the periodic vertices with at
     least three gates; that list is complete for NP-free
-    representatives, and `principal_complete` records whether the
-    caller certified that.  The rotationless exponent is the lcm of the
-    periods of all periodic vertices and of all periodic directions, so
-    the corresponding power fixes every periodic point and direction
-    (safe even if an NP endpoint later turns out to be principal).
-    Stored on g for each truth value of `nielsen_free`.
+    representatives, which the caller certifies.  The rotationless
+    exponent is the lcm of the periods of all periodic vertices and of
+    all periodic directions, so the corresponding power fixes every
+    periodic point and direction (safe even if an NP endpoint later
+    turns out to be principal).  Stored on g.
     """
-    return g._derived(("periodic_structure", bool(nielsen_free)),
-                      lambda g: _periodic_structure(g, nielsen_free))
+    return g._derived("periodic_structure", _periodic_structure)
 
 
-def _periodic_structure(g, nielsen_free):
+def _periodic_structure(g):
     verdict = is_train_track(g)
     if not verdict:
         raise PreconditionError(f"not a train track map: {verdict}")
@@ -217,7 +212,7 @@ def _periodic_structure(g, nielsen_free):
     for p in direction_periods.values():
         exponent = math.lcm(exponent, p)
     return PeriodicStructure(vertex_periods, direction_periods, principal,
-                             exponent, principal_complete=bool(nielsen_free))
+                             exponent)
 
 
 def is_rotationless(g: GraphMap) -> bool:

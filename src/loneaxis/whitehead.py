@@ -169,10 +169,8 @@ def stable_whitehead_graph(g: GraphMap, v) -> WhiteheadGraph:
     return WhiteheadGraph(STABLE, vertices, edges)
 
 
-def _np_certified(g, bound, nielsen_report):
-    report = nielsen_report
-    if report is None:
-        report = nielsen.find_nielsen_paths(g, bound)
+def _np_certified(g, bound):
+    report = nielsen.find_nielsen_paths(g, bound)
     if report.paths:
         raise NielsenPathPresentError(
             f"representative carries a Nielsen path "
@@ -184,8 +182,8 @@ def _np_certified(g, bound, nielsen_report):
     return report
 
 
-def ideal_whitehead_graph(g: GraphMap, bound: int = nielsen.DEFAULT_BOUND,
-                          nielsen_report=None) -> WhiteheadGraph:
+def ideal_whitehead_graph(g: GraphMap,
+                          bound: int = nielsen.DEFAULT_BOUND) -> WhiteheadGraph:
     """Disjoint union of stable graphs over principal vertices, keeping
     only components with at least three vertices.
 
@@ -193,12 +191,12 @@ def ideal_whitehead_graph(g: GraphMap, bound: int = nielsen.DEFAULT_BOUND,
     on g per bound, so every caller shares one graph and its canonical
     form."""
     return g._derived(("ideal_whitehead_graph", bound),
-                      lambda g: _ideal_whitehead_graph(g, bound, nielsen_report))
+                      lambda g: _ideal_whitehead_graph(g, bound))
 
 
-def _ideal_whitehead_graph(g, bound, nielsen_report):
-    _np_certified(g, bound, nielsen_report)
-    ps = traintrack.periodic_structure(g, nielsen_free=True)
+def _ideal_whitehead_graph(g, bound):
+    _np_certified(g, bound)
+    ps = traintrack.periodic_structure(g)
     vertices = []
     edges = set()
     for v in ps.principal_vertices:
@@ -238,11 +236,10 @@ def index_entries_from_gate_counts(counts):
     return tuple(sorted(entries, key=lambda e: (abs(e), e)))
 
 
-def index_report(g: GraphMap, bound: int = nielsen.DEFAULT_BOUND,
-                 nielsen_report=None) -> IndexReport:
+def index_report(g: GraphMap, bound: int = nielsen.DEFAULT_BOUND) -> IndexReport:
     """Rotationless index data for an NP-free rotationless representative."""
-    _np_certified(g, bound, nielsen_report)
-    ps = traintrack.periodic_structure(g, nielsen_free=True)
+    _np_certified(g, bound)
+    ps = traintrack.periodic_structure(g)
     gs = traintrack.gates(g)
     counts = {v: gs.gate_count(v) for v in ps.principal_vertices}
     entries = index_entries_from_gate_counts(counts.values())

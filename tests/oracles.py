@@ -16,7 +16,8 @@ The kernel oracles are the path helpers of the library written one
 interpreted step per letter, with reverses computed afresh: reversal,
 tightness, the path check, the tightened image of a path, the turns a
 path crosses, and the union-find fold of the edge images that links every
-interior letter one at a time.
+interior letter one at a time.  The recomposition of a fold sequence
+composes its move maps, which reproduces the decomposed map.
 
 The labeling oracle tries every vertex permutation of a marked graph, so
 it finds every labeling that reaches a given encoding without the
@@ -32,7 +33,7 @@ from networkx.algorithms.isomorphism import numerical_multiedge_match
 
 from loneaxis.errors import (InternalCheckError, InvalidMapError,
                              PreconditionError)
-from loneaxis.graphs import base_label
+from loneaxis.graphs import base_label, compose
 from loneaxis.nielsen import (_canonical, _require_rotationless_tt,
                               find_nielsen_paths)
 
@@ -134,6 +135,15 @@ def fold_edge_images(g):
                 pending.append((s, t))
         out[b] = None
     return labels, parent, out
+
+
+def recompose(seq):
+    """The composite of the move maps of a fold sequence, first move
+    first: the map that was decomposed."""
+    total = None
+    for move in seq.moves:
+        total = move.map if total is None else compose(move.map, total)
+    return total
 
 
 def tighten(path):

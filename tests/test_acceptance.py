@@ -17,7 +17,7 @@ from loneaxis import axes, nielsen, spectral, traintrack, whitehead
 
 from conftest import (cubic_map, cubic_map_relabeled, dumbbell_instance,
                       fib_map)
-from oracles import checked_nielsen_paths, isometric
+from oracles import checked_nielsen_paths, isometric, recompose
 
 
 def ok(n, text):
@@ -68,7 +68,7 @@ def test_criterion_3_index_inequality(corpus):
         if not traintrack.periodic_structure(grot).principal_vertices:
             continue  # no principal vertex means the map is not fully
             # irreducible; the inequality presupposes one
-        idx = whitehead.index_report(grot, 16, nielsen_report=report)
+        idx = whitehead.index_report(grot, 16)
         r = g.domain.rank()
         assert 1 - r <= idx.index_sum < 0, f"index {idx.index_sum} out of range"
         for entry in idx.entries:
@@ -159,7 +159,7 @@ def test_criterion_6_fold_recomposition(corpus):
     """Tightened recomposition reproduces every corpus map exactly."""
     for g in corpus:
         seq = axes.stallings_decomposition(g)
-        rec = seq.recompose()
+        rec = recompose(seq)
         assert rec.edge_images() == g.edge_images()
         assert rec.vertex_map == g.vertex_map
     ok(6, "fold recomposition exact on 100 corpus decompositions")

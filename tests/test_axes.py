@@ -9,7 +9,7 @@ from loneaxis import axes, spectral, traintrack
 
 from conftest import (cubic_map, cubic_map_relabeled, dumbbell_instance,
                       eight_petal_map, fib_map, identity_map, runaway_map)
-from oracles import isometric
+from oracles import isometric, recompose
 
 
 class TestStallingsDecomposition:
@@ -36,14 +36,14 @@ class TestStallingsDecomposition:
         for g in (fib_map(), cubic_map(), power(cubic_map(), 3),
                   dumbbell_instance()):
             seq = axes.stallings_decomposition(g)
-            rec = seq.recompose()
+            rec = recompose(seq)
             assert rec.edge_images() == g.edge_images()
             assert rec.vertex_map == g.vertex_map
 
     def test_recomposition_on_corpus(self, corpus):
         for g in corpus:
             seq = axes.stallings_decomposition(g)
-            rec = seq.recompose()
+            rec = recompose(seq)
             assert rec.edge_images() == g.edge_images()
             assert rec.vertex_map == g.vertex_map
 
@@ -53,27 +53,27 @@ class TestStallingsDecomposition:
         seq = axes.stallings_decomposition(g)
         fold = next(m for m in seq.moves if m.kind == "fold")
         assert sorted(fold.turn) == ["a", "a'"]
-        rec = seq.recompose()
+        rec = recompose(seq)
         assert rec.edge_images() == g.edge_images()
 
     def test_metric_coherence(self):
         # one full period contracts the volume by exactly the dilatation
         for g in (fib_map(), cubic_map()):
-            pf = spectral.pf_data(spectral.transition_matrix(g))
-            graph = spectral.eigenmetric(g, pf)
+            lam = spectral.dilatation(g)
+            graph = spectral.eigenmetric(g)
             gm = axes._with_graphs(g, graph, graph)
-            seq = axes.stallings_decomposition(gm, lam=pf.lam)
-            assert float(seq.graphs[-1].volume()) * pf.lam == pytest.approx(
-                1.0, abs=1e-8)
+            seq = axes.stallings_decomposition(gm)
+            last = axes._stage_metric(seq, len(seq.graphs) - 1, lam)
+            assert float(last.volume()) * lam == pytest.approx(1.0, abs=1e-8)
 
     def test_fold_maps_are_local_isometries(self):
         g = cubic_map()
-        pf = spectral.pf_data(spectral.transition_matrix(g))
-        graph = spectral.eigenmetric(g, pf)
-        seq = axes.stallings_decomposition(axes._with_graphs(g, graph, graph),
-                                           lam=pf.lam)
-        for move in seq.moves[:-1]:
-            dom, cod = move.map.domain, move.map.codomain
+        lam = spectral.dilatation(g)
+        graph = spectral.eigenmetric(g)
+        seq = axes.stallings_decomposition(axes._with_graphs(g, graph, graph))
+        for i, move in enumerate(seq.moves[:-1]):
+            dom = axes._stage_metric(seq, i, lam)
+            cod = axes._stage_metric(seq, i + 1, lam)
             for e in dom.pairs:
                 img_len = sum(float(cod.lengths[f.rstrip("'")])
                               for f in move.map.image(e))
@@ -96,7 +96,7 @@ class TestStallingsDecomposition:
         g = GraphMap(dom, cod, {"v0": "v0"}, {"a": ("x", "y"), "b": ("x",)})
         seq = axes.stallings_decomposition(g)
         assert seq.moves[-1].kind == "homeomorphism"
-        rec = seq.recompose()
+        rec = recompose(seq)
         assert rec.edge_images() == g.edge_images()
 
 

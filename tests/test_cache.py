@@ -63,8 +63,6 @@ CALLS = {
     "gates": traintrack.gates,
     "is_train_track": traintrack.is_train_track,
     "periodic_structure": traintrack.periodic_structure,
-    "periodic_structure_np_free":
-        lambda g: traintrack.periodic_structure(g, nielsen_free=True),
     "taken_turns": traintrack.taken_turns,
     "transition_matrix": spectral.transition_matrix,
     "matrix_class": lambda g: spectral.matrix_class(spectral.transition_matrix(g)),
@@ -109,7 +107,9 @@ def test_stages_computed_once_per_map(monkeypatch):
             return inner(*args)
         monkeypatch.setattr(module, name, wrapper)
 
-    for module, name in ((traintrack, "_gates"), (spectral, "_pf_data"),
+    for module, name in ((traintrack, "_gates"),
+                         (traintrack, "_periodic_structure"),
+                         (spectral, "_pf_data"),
                          (nielsen, "_find_nielsen_paths"),
                          (axes, "_is_homotopy_equivalence"),
                          (axes, "stallings_decomposition")):
@@ -118,10 +118,12 @@ def test_stages_computed_once_per_map(monkeypatch):
     for _ in range(3):
         axes.axis_signature(g, np_bound=6)
         nielsen.find_nielsen_paths(grot(g), 6)
-    # gates of g and of its rotationless power; one search per map and
-    # bound; one homotopy equivalence check of g, which records no fold
-    # sequence, and one fold sequence for the signature's records
-    assert counts == {"_gates": 2, "_pf_data": 2, "_find_nielsen_paths": 1,
+    # gates and periodic structure of g and of its rotationless power;
+    # one search per map and bound; one homotopy equivalence check of g,
+    # which records no fold sequence, and one fold sequence for the
+    # signature's records
+    assert counts == {"_gates": 2, "_periodic_structure": 2, "_pf_data": 2,
+                      "_find_nielsen_paths": 1,
                       "_is_homotopy_equivalence": 1,
                       "stallings_decomposition": 1}
 

@@ -362,6 +362,27 @@ class TestSubcommands:
         assert run(["check", str(p)]) == 3
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("text, message", [
+        # b runs from v0 to v1 and c is a loop at v1, so c b is no path
+        ("name barbell\ngraph\nvertex v0\nvertex v1\nedge a v0 v0\n"
+         "edge b v0 v1\nedge c v1 v1\nmap\na -> a\nb -> b\nc -> c b\n",
+         "line 11: image of c is not a path: c b"),
+        ("name cycle\ngraph\nvertex v0\nvertex v1\nedge a v0 v1\n"
+         "edge b v1 v0\nedge c v1 v1\nmap\na -> a\nb -> b\nc -> c\n",
+         "line 2: vertex v0 has valence 2 (needs >= 3, or a subdivision "
+         "flag for valence 2)"),
+        ("# two roses\nname pair\ngraph\nvertex v0\nvertex v1\n"
+         "edge a v0 v0\nedge b v0 v0\nedge c v1 v1\nedge d v1 v1\nmap\n"
+         "a -> a\nb -> b\nc -> c\nd -> d\n",
+         "line 3: graph is not connected"),
+    ], ids=["not-a-path", "valence-2", "disconnected"])
+    def test_graph_and_path_errors_name_their_line(self, tmp_path, capsys,
+                                                   text, message):
+        p = tmp_path / "broken.txt"
+        p.write_text(text)
+        assert run(["check", str(p)]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_conjugate_power_names_the_failing_document(self, h_file, tmp_path,
                                                         capsys):
         p = tmp_path / "broken.doc"

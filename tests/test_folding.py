@@ -1,6 +1,7 @@
 """The in-place fold engine: the recorded decompositions and the stage
-objects built on read; the union-find homotopy equivalence check, which
-agrees with it and records nothing; and the cost of a decision."""
+objects built on read; the exact lengths of the fold line drawn from
+them; the union-find homotopy equivalence check, which agrees with it
+and records nothing; and the cost of a decision."""
 
 import hashlib
 import itertools
@@ -17,14 +18,13 @@ from loneaxis import axes, spectral
 
 from conftest import (cubic_map, dumbbell_instance, eight_petal_map, fib_map,
                       identity_map, rank4_map)
-from oracles import tighten
+from oracles import recompose, tighten
 
 
 def metrized(g):
-    """g on its eigenmetric graph, with its stretch, as fold_line folds it."""
-    pf = spectral.pf_data(spectral.transition_matrix(g))
-    graph = spectral.eigenmetric(g, pf)
-    return axes._with_graphs(g, graph, graph), pf.lam
+    """g on its eigenmetric graph, as fold_line folds it."""
+    graph = spectral.eigenmetric(g)
+    return axes._with_graphs(g, graph, graph)
 
 
 def theta_map():
@@ -37,12 +37,12 @@ def theta_map():
 
 
 CASES = {
-    "fib": lambda: (fib_map(), None),
-    "cubic": lambda: (cubic_map(), None),
-    "cubic6": lambda: (power(cubic_map(), 6), None),
-    "dumbbell": lambda: (dumbbell_instance(), None),
-    "rank4": lambda: (rank4_map(), None),
-    "eight": lambda: (eight_petal_map(), None),
+    "fib": fib_map,
+    "cubic": cubic_map,
+    "cubic6": lambda: power(cubic_map(), 6),
+    "dumbbell": dumbbell_instance,
+    "rank4": rank4_map,
+    "eight": eight_petal_map,
     "cubic_metric": lambda: metrized(cubic_map()),
 }
 
@@ -65,8 +65,10 @@ GOLDEN = {
                (19, 20, 4), (21, 22, 2), (23, 24, 2), (25, 26, 2),
                (27, 27, 2), (28, 29, 2), (30, 31, 2), (32, 33, 1),
                (34, 35, 1), (36, 37, 1), (38, 39, 1))),
-    "cubic_metric": (3, "f50428d3ecdb4ad6", ((0, 1, 1),)),
 }
+# the records carry no lengths, so a metrized domain decomposes exactly
+# like the plain one
+GOLDEN["cubic_metric"] = GOLDEN["cubic"]
 
 # maps that are not homotopy equivalences, and where their folding stops
 FAILURES = [
@@ -97,10 +99,39 @@ FAILURES = [
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_recorded_decompositions(name):
-    g, lam = CASES[name]()
-    seq = axes.stallings_decomposition(g, lam=lam)
+    seq = axes.stallings_decomposition(CASES[name]())
     digest = hashlib.sha256(seq.to_json().encode()).hexdigest()[:16]
     assert (len(seq.moves), digest, seq.fold_rounds) == GOLDEN[name]
+
+
+# fold_line(map, periods, samples): the number of graphs and the first 16
+# hex digits of the SHA-256 of the repr of every length, in dict order,
+# and of every volume, taken when the fold engine still pushed lengths
+# through the folds
+FOLD_LINES = {
+    ("fib", 1, 4): (2, "0c00ed4693e02a32"),
+    ("fib", 2, 5): (3, "44bb13ceff0077a7"),
+    ("fib", 3, 7): (4, "fe9bf1eabe95325d"),
+    ("cubic", 1, 4): (2, "f4c00c8d1793c47e"),
+    ("cubic", 2, 5): (3, "9b998d13f44477de"),
+    ("cubic", 3, 7): (4, "030d9fcec6eb570e"),
+    ("dumbbell", 1, 4): (5, "5ad842ab43b3f6ff"),
+    ("dumbbell", 2, 5): (11, "e20a592bbab521c8"),
+    ("dumbbell", 3, 7): (18, "38712d5e7893db6b"),
+    ("rank4", 1, 4): (5, "6e49e7ea64188364"),
+    ("rank4", 2, 5): (11, "319fe850ac9008f5"),
+    ("rank4", 3, 7): (22, "ce7ac0074bbbaa90"),
+}
+
+
+@pytest.mark.parametrize("name,periods,samples", sorted(FOLD_LINES))
+def test_fold_line_floats(name, periods, samples):
+    line = axes.fold_line(CASES[name](), periods, samples)
+    text = "\n".join(
+        " ".join(f"{e}={x!r}" for e, x in graph.lengths.items())
+        + f" volume={graph.volume()!r}" for graph in line)
+    digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+    assert (len(line), digest) == FOLD_LINES[name, periods, samples]
 
 
 @pytest.mark.parametrize("images,kind,message", FAILURES)
@@ -134,8 +165,8 @@ def brute_force_foldable_turns(resid):
                   if resid.image(d1)[0] == resid.image(d2)[0])
 
 
-def check_stages(g, lam=None):
-    seq = axes.stallings_decomposition(g, lam=lam)
+def check_stages(g):
+    seq = axes.stallings_decomposition(g)
     assert len(seq.graphs) == len(seq.residuals) == len(seq.moves)
     for i, resid in enumerate(seq.residuals):
         assert resid.domain is seq.graphs[i]
@@ -146,7 +177,7 @@ def check_stages(g, lam=None):
         assert move.map.codomain is seq.graphs[i + 1]
         assert compose(seq.residuals[i + 1], move.map) == seq.residuals[i]
     assert seq.moves[-1].map is seq.residuals[-1]
-    assert seq.recompose() == g
+    assert recompose(seq) == g
     for start, fold_idx, count in seq.fold_rounds:
         turns = brute_force_foldable_turns(seq.residuals[start])
         assert (count, seq.moves[fold_idx].turn) == (len(turns), turns[0])
@@ -154,7 +185,7 @@ def check_stages(g, lam=None):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_stages_of_recorded_decompositions(name):
-    check_stages(*CASES[name]())
+    check_stages(CASES[name]())
 
 
 @st.composite
@@ -215,7 +246,7 @@ def rose_maps(draw):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_check_accepts_recorded_decompositions(name):
-    assert homotopy_equivalence(CASES[name]()[0]) is True
+    assert homotopy_equivalence(CASES[name]()) is True
 
 
 @pytest.mark.parametrize("images", [images for images, _, _ in FAILURES])

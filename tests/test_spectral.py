@@ -132,7 +132,7 @@ class TestEigenmetric:
     def test_affine_property(self, corpus):
         for g in corpus[:30]:
             pf = spectral.pf_data(spectral.transition_matrix(g))
-            metric = spectral.eigenmetric(g, pf)
+            metric = spectral.eigenmetric(g)
             for e in metric.pairs:
                 img_len = sum(metric.lengths[f.rstrip("'")] for f in g.image(e))
                 assert abs(img_len - pf.lam * metric.lengths[e]) < 1e-9
