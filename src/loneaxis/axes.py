@@ -29,8 +29,7 @@ from fractions import Fraction
 from itertools import chain, islice
 
 from .errors import (DecompositionError, InternalCheckError,
-                     NielsenPathPresentError, NotLoneAxisError,
-                     PreconditionError)
+                     NotLoneAxisError, PreconditionError)
 from .graphs import (GraphMap, MarkedGraph, base_label, check_image,
                      check_incidence, compose, power, rev_edge)
 from .isomorphism import canonical_encodings
@@ -697,16 +696,12 @@ def lone_axis_decision(g: GraphMap, np_bound: int = nielsen.DEFAULT_BOUND,
             "cannot represent a fully irreducible automorphism")
     g._derived("homotopy_equivalence", _is_homotopy_equivalence)
     grot, exponent = rotationless_power(g)
-    try:
-        np_report = nielsen.find_nielsen_paths(grot, np_bound)
-        np_free = not np_report.paths
-    except NielsenPathPresentError:
-        np_free = False  # more concatenations than the search lists
+    np_free = nielsen.is_fully_stable(grot, np_bound)
     common = dict(rank=r, train_track=True, primitive=True,
                   rotationless_exponent=exponent, np_bound=np_bound,
                   fully_irreducible_asserted=bool(fully_irreducible_asserted))
 
-    if not np_free:
+    if np_free is False:
         # NPs force the geometric/parageometric index 1 - r, which can
         # never equal 3/2 - r
         return LoneAxisReport(np_free=False,
@@ -717,7 +712,7 @@ def lone_axis_decision(g: GraphMap, np_bound: int = nielsen.DEFAULT_BOUND,
                               unique_illegal_turn=None,
                               ideal_graph=None,
                               overall="not-lone-axis", **common)
-    if not np_report.exhaustive:
+    if np_free is None:
         return LoneAxisReport(np_free=None, overall="unknown", **common)
 
     idx = whitehead.index_report(grot, np_bound)

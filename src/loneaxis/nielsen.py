@@ -12,8 +12,10 @@ exactly when their tails agree, so the search matches legs by tail.
 
 from __future__ import annotations
 
-import itertools
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import chain, combinations, islice
+from operator import eq
 
 from .errors import (InternalCheckError, NielsenPathPresentError,
                      PreconditionError)
@@ -79,42 +81,38 @@ def _fixed_directions(g):
             == g.domain.init_vertex(d)]
 
 
-def _ray_image(g, path, d, letters=None):
-    """g(path) for a path on the ray at direction d, as the concatenation
-    of edge images, stopped once it holds at least `letters` letters.
-
-    The ray is legal, so no junction of two images may cancel.
-    """
-    out = []
-    for e in path:
-        img = g.image(e)
-        if out and out[-1] == rev_edge(img[0]):
-            raise InternalCheckError(
-                f"the ray of direction {d} is not legal: its image cancels")
-        out.extend(img)
-        if letters is not None and len(out) >= letters:
-            break
-    return tuple(out)
-
-
 def _eigenray(g, d, bound):
     """Prefix of at most `bound` edges of the ray obtained by iterating g
-    on a fixed direction, together with its image.
+    on a fixed direction.
 
     The ray is legal, so images concatenate without cancellation, each
-    iterate extends the previous one, and the image of the prefix is a
+    iterate extends the previous one, and the image of a prefix is a
     longer prefix of the same ray.
     """
     ray = (d,)
     while len(ray) < bound:
-        grown = _ray_image(g, ray, d, letters=bound)
-        if grown[:len(ray)] != ray:
+        grown = []
+        for e in ray:
+            grown += g.image(e)
+            if len(grown) >= bound:
+                break
+        if grown[:len(ray)] != list(ray):
             raise InternalCheckError(f"direction {d} does not extend its ray")
         if len(grown) == len(ray):
             break  # non-expanding direction; cannot feed a leg
-        ray = grown
-    ray = ray[:bound]
-    return ray, _ray_image(g, ray, d)
+        ray = tuple(grown[:bound])
+    return ray
+
+
+def _tail(g, ray, n, i):
+    """The tail tau(i) = R[i:n[i]] of the leg R[:i], as an iterator over
+    the stored edge images: the end of the image of the edge R[j] that
+    holds letter i, then the images of R[j+1:i].  ``n[k]`` is the summed
+    image length of R[:k], so the tail is empty when n[i] = i.
+    """
+    j = bisect_right(n, i, 0, i + 1) - 1
+    return islice(chain.from_iterable(map(g.image, islice(ray, j, i))),
+                  i - n[j], None)
 
 
 def _canonical(path):
@@ -131,33 +129,36 @@ def _iterative_search(g, bound):
     the summed image length of R[:i].  A candidate R_a[:i] . rev(R_b[:j])
     whose junction is tight and degenerates in one step is fixed exactly
     when tau_a(i) = tau_b(j): the two legal images can only cancel at the
-    junction, since a legal ray contains no illegal turn.  Legs are
-    grouped by junction direction and tail length, and only a group of
-    two legs or more has its tails built and compared, so a long image
-    is not sliced once per leg; the tightened image confirms each
-    candidate.
+    junction, since a legal ray contains no illegal turn; legality is
+    checked where the images of consecutive ray edges meet.  Legs are
+    grouped by junction direction and tail length, and only legs of one
+    group have their tails compared, letter by letter as `_tail` reads
+    them from the edge images, so the image of a ray is never built; the
+    tightened image confirms each candidate.
     """
     dmap = traintrack.direction_map(g)
     groups = {}
     for d in _fixed_directions(g):
-        ray, image = _eigenray(g, d, bound)
-        n = 0
+        ray = _eigenray(g, d, bound)
+        n, last = [0], None
         for i, e in enumerate(ray, 1):
-            n += len(g.image(e))
-            groups.setdefault((dmap[rev_edge(e)], n - i), []).append(
-                (ray, i, image, n))
+            img = g.image(e)
+            if rev_edge(img[0]) == last:
+                raise InternalCheckError(
+                    f"the ray of direction {d} is not legal: its image cancels")
+            last = img[-1]
+            n.append(n[-1] + len(img))
+            groups.setdefault((dmap[rev_edge(e)], n[i] - i), []).append(
+                (ray, n, i))
 
     found = set()
     for group in groups.values():
         if len(group) < 2:
-            continue  # a lone leg has no mate; its tail is never built
-        by_tail = {}
-        for ray, i, image, n in group:
-            by_tail.setdefault(image[i:n], []).append((ray, i))
-        for legs in by_tail.values():
-            for (ray_a, i), (ray_b, j) in itertools.combinations(legs, 2):
-                if ray_a[i - 1] == ray_b[j - 1]:
-                    continue  # junction would not be tight
+            continue  # a lone leg has no mate; its tail is never read
+        for (ray_a, n_a, i), (ray_b, n_b, j) in combinations(group, 2):
+            if ray_a[i - 1] == ray_b[j - 1]:
+                continue  # junction would not be tight
+            if all(map(eq, _tail(g, ray_a, n_a, i), _tail(g, ray_b, n_b, j))):
                 rho = ray_a[:i] + rev_path(ray_b[:j])
                 if g.apply_path(rho) == rho:
                     found.add(_canonical(rho))

@@ -210,8 +210,9 @@ def eigenmetric(g: GraphMap):
     """Domain graph remetrized so that g stretches every edge by lam.
 
     Verifies the affine property: the image of each edge has length
-    lam times the edge, within 1e-9.  Stored on g and shared by every
-    caller.
+    lam times the edge, within 1e-9 of the image length (or of 1, if
+    that is larger), so a long image's rounding error does not fail it.
+    Stored on g and shared by every caller.
     """
     return g._derived("eigenmetric", _eigenmetric)
 
@@ -222,7 +223,7 @@ def _eigenmetric(g):
     for e in graph.pairs:
         # left to right, as the floats and the message depend on the order
         img_len = sum(map(pf.edge_lengths.__getitem__, map(base_label, g.image(e))))
-        if abs(img_len - pf.lam * pf.edge_lengths[e]) > 1e-9:
+        if abs(img_len - pf.lam * pf.edge_lengths[e]) > 1e-9 * max(1, img_len):
             raise PreconditionError(
                 f"affine check failed on edge {e}: image length {img_len}")
     return graph

@@ -70,8 +70,9 @@ def runaway_map():
 
 
 def defect_map():
-    """Rank-4 positive map with rotationless exponent 3: the affine check of
-    the eigenmetric of its rotationless power fails at an absolute 1e-9."""
+    """Rank-4 positive map with rotationless exponent 3, whose rotationless
+    power has edge images of up to 49 700 letters: an absolute 1e-9
+    affine check of its eigenmetric fails on rounding alone."""
     return rose_map({
         "a": "abdaabbbabdabbcdabdaabbbabdabbcdabdaabbbabdabbcdabdaab",
         "b": "abdaabbbabdabbcd",

@@ -14,9 +14,9 @@ or less.
 
 The kernel oracles are the path helpers of the library written one
 interpreted step per letter, with reverses computed afresh: reversal,
-tightness, the path check, the tightened image of a path, the turns a
-path crosses, and the union-find fold of the edge images that links every
-interior letter one at a time.  The recomposition of a fold sequence
+tightness, the path check, the tightened image of a path, the joined
+image of a ray, the turns a path crosses, and the union-find fold of the
+edge images that links every interior letter one at a time.  The recomposition of a fold sequence
 composes its move maps, which reproduces the decomposed map.
 
 The labeling oracle tries every vertex permutation of a marked graph, so
@@ -71,6 +71,17 @@ def apply_path(g, path):
                 out.pop()
             else:
                 out.append(x)
+    return tuple(out)
+
+
+def concatenated_image(g, path):
+    """The edge images of a path joined whole, letter by letter and
+    untightened: for a legal ray, its image.  The Nielsen search reads
+    tails of this image without building it."""
+    out = []
+    for e in path:
+        for x in g.image(e):
+            out.append(x)
     return tuple(out)
 
 

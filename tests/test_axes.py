@@ -7,8 +7,9 @@ from loneaxis.errors import NotLoneAxisError, PreconditionError
 from loneaxis.graphs import compose, power, rose_map
 from loneaxis import axes, spectral, traintrack
 
-from conftest import (cubic_map, cubic_map_relabeled, dumbbell_instance,
-                      eight_petal_map, fib_map, identity_map, runaway_map)
+from conftest import (cubic_map, cubic_map_relabeled, defect_map,
+                      dumbbell_instance, eight_petal_map, fib_map,
+                      identity_map, runaway_map)
 from oracles import isometric, recompose
 
 
@@ -281,3 +282,23 @@ class TestConjugatePowerCheck:
         bad = rose_map({"a": "aab", "b": "a'c", "c": "b'"})
         with pytest.raises(PreconditionError, match="homotopy-equivalence"):
             axes.lone_axis_decision(bad, np_bound=16)
+
+
+class TestLongImages:
+    """Maps whose rotationless powers have edge images of 10^4 to 10^5
+    letters, which an absolute affine check rejected."""
+
+    @pytest.fixture(scope="class")
+    def cubic7(self):
+        return power(cubic_map(), 7)  # rotationless power cubic^42
+
+    def test_seventh_power_is_a_conjugate_power(self, cubic7):
+        verdict = axes.conjugate_power_check(cubic_map(), cubic7)
+        assert verdict.status == "conjugate-powers"
+        assert verdict.powers == (7, 1)
+
+    def test_seventh_power_has_the_signature_of_its_base(self, cubic7):
+        assert axes.axis_signature(cubic7) == axes.axis_signature(cubic_map())
+
+    def test_defect_map_decides(self):
+        assert axes.lone_axis_decision(defect_map()).overall == "not-lone-axis"

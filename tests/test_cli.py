@@ -14,8 +14,8 @@ from loneaxis import cli
 from loneaxis.cli import (GraphMapDocument, parse_document,
                           serialize_document)
 
-from conftest import (build_corpus, defect_map, dumbbell_instance,
-                      eight_petal_map, runaway_map)
+from conftest import (build_corpus, dumbbell_instance, eight_petal_map,
+                      runaway_map)
 from oracles import checked_nielsen_paths
 
 H_DOC = """\
@@ -408,8 +408,10 @@ class TestSubcommands:
     def test_signature_precondition_is_input_error(self, tmp_path, capsys):
         # a precondition failure is an input error, as in the other
         # subcommands, not the negative verdict "signature undefined"
-        for name, g, reason in (("runaway", runaway_map(), "beyond desk scale"),
-                                ("defect", defect_map(), "affine check")):
+        for name, g, reason in (
+                ("runaway", runaway_map(), "beyond desk scale"),
+                ("reducible", rose_map({"a": "a b", "b": "b"}),
+                 "[spectral] transition matrix is not primitive")):
             p = tmp_path / f"{name}.doc"
             p.write_text(serialize_document(GraphMapDocument(g)))
             for sub in ("signature", "lone-axis"):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -8,11 +9,11 @@ from loneaxis.errors import NielsenPathPresentError, PreconditionError
 from loneaxis.graphs import power, rev_edge, rev_path
 from loneaxis import axes, nielsen, traintrack
 
-from conftest import (cubic_map, dumbbell_instance, eight_petal_map, fib_map,
-                      rank4_map, rank5_map, random_positive_map,
-                      total_image_length)
+from conftest import (cubic_map, defect_map, dumbbell_instance,
+                      eight_petal_map, fib_map, rank4_map, rank5_map,
+                      random_positive_map, total_image_length)
 from oracles import (brute_force_nielsen_paths, checked_nielsen_paths,
-                     unpruned_nielsen_paths)
+                     concatenated_image, unpruned_nielsen_paths)
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +112,14 @@ class TestLegMatching:
         if proven <= 12:  # where the brute-force oracle is cheap
             checked_nielsen_paths(grot, proven)
 
+    def test_matches_all_pairs_on_long_images(self):
+        # edge images of up to 49 700 letters; the all-pairs reference
+        # grows each ray with whole images, so it stays at the proven bound
+        grot, _ = axes.rotationless_power(defect_map())
+        report = nielsen.find_nielsen_paths(grot, 3)
+        assert report.proven_leg_bound == 3 and report.exhaustive
+        assert [p.path for p in report.inps()] == all_pairs_inps(grot, 3)
+
     def test_too_many_concatenations(self):
         g = eight_petal_map()
         assert nielsen._iterative_search(g, 40) == all_pairs_inps(g, 40) \
@@ -118,6 +127,61 @@ class TestLegMatching:
         with pytest.raises(NielsenPathPresentError):
             nielsen.find_nielsen_paths(g, 40)
         assert nielsen.is_fully_stable(g, 40) is False
+
+
+def assert_tails_read_from_images(g, path):
+    """Every tail read lazily equals the slice image[i:n(i)] of the
+    joined image of the path."""
+    image = concatenated_image(g, path)
+    n = [0]
+    for e in path:
+        n.append(n[-1] + len(g.image(e)))
+    for i in range(1, len(path) + 1):
+        assert tuple(nielsen._tail(g, path, n, i)) == image[i:n[i]], i
+
+
+class TestTails:
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(2, 3), st.integers(0, 2**32 - 1), st.integers(1, 40),
+           st.lists(st.integers(0, 5), max_size=12))
+    def test_tails_equal_slices_of_the_image(self, rank, seed, bound, word):
+        g = random_positive_map(rank, random.Random(seed))
+        try:
+            assume(traintrack.periodic_structure(g).rotationless_exponent <= 3)
+            grot, _ = axes.rotationless_power(g)
+            nielsen._require_rotationless_tt(grot)
+        except PreconditionError:
+            assume(False)
+        for d in nielsen._fixed_directions(grot):
+            assert_tails_read_from_images(grot, nielsen._eigenray(grot, d, bound))
+        # eigenray tails are never empty on an expanding map; a word that
+        # opens with one-letter images has tails with n(i) = i
+        for h in (g, grot):
+            edges = h.domain.oriented
+            path = sorted((edges[k % len(edges)] for k in word),
+                          key=lambda e: len(h.image(e)))
+            assert_tails_read_from_images(h, tuple(path))
+
+    def test_empty_tails_stop_at_the_leg(self):
+        # a -> b, b -> c: n(1) = 1 and n(2) = 2, so the first two tails
+        # are empty and must not read the image of the next edge
+        g = cubic_map()
+        assert tuple(nielsen._tail(g, ("a", "b", "c"), [0, 1, 2, 4], 1)) == ()
+        assert_tails_read_from_images(g, ("a", "b", "c", "a", "b"))
+
+
+def test_search_memory_stays_within_the_edge_images():
+    # cubic^42 has 396 655 letters in its edge images; joining the images
+    # of each 40-edge ray takes about 286 MB, reading tails about 1.3 MB
+    g = power(power(cubic_map(), 7), 6)
+    tracemalloc.start()
+    try:
+        report = nielsen.find_nielsen_paths(g, 40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.paths == () and report.exhaustive
+    assert peak < 16 * 2 ** 20
 
 
 def assert_pruning_exact(g, bounds):

@@ -7,7 +7,7 @@ from loneaxis.errors import PreconditionError
 from loneaxis.graphs import power, rose_map
 from loneaxis import spectral
 
-from conftest import cubic_map, fib_map, identity_map
+from conftest import cubic_map, defect_map, fib_map, identity_map
 
 
 def golden_ratio():
@@ -136,3 +136,11 @@ class TestEigenmetric:
             for e in metric.pairs:
                 img_len = sum(metric.lengths[f.rstrip("'")] for f in g.image(e))
                 assert abs(img_len - pf.lam * metric.lengths[e]) < 1e-9
+
+    def test_affine_check_scales_with_image_length(self):
+        # the rotationless power's longest image has 49 700 letters; the
+        # rounding of its summed length alone is above an absolute 1e-9
+        g = power(defect_map(), 3)
+        assert max(len(g.image(e)) for e in "abcd") == 49700
+        metric = spectral.eigenmetric(g)
+        assert metric.lengths["a"] > 0
