@@ -568,7 +568,7 @@ def _rotationless_power(g):
         return g, k
     # 1^T M^k 1 in exact integers: the iterates of a train track map do
     # not cancel, so this is the letter count of the power's edge images
-    columns = list(zip(*spectral.transition_matrix(g).mat.tolist()))
+    columns = list(zip(*spectral.transition_matrix(g).mat))
     lengths = [1] * len(columns)
     for _ in range(k):
         lengths = [sum(x * m for x, m in zip(lengths, col)) for col in columns]

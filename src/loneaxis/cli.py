@@ -279,7 +279,7 @@ def _cmd_spectral(doc, args):
     tm = spectral.transition_matrix(g)
     cls = spectral.matrix_class(tm)
     report = _report_skeleton(doc, "spectral")
-    report["values"]["matrix"] = tm.mat.tolist()
+    report["values"]["matrix"] = list(map(list, tm.mat))
     report["values"]["edge_order"] = list(tm.pairs)
     report["verdicts"]["matrix_class"] = cls
     if cls == spectral.REDUCIBLE:

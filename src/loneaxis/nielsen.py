@@ -70,7 +70,7 @@ def _require_rotationless_tt(g):
     tm = spectral.transition_matrix(g)
     if spectral.matrix_class(tm) == spectral.REDUCIBLE:
         raise PreconditionError("Nielsen search needs an irreducible map")
-    if spectral.pf_data(tm).lam <= 1 + 1e-12:
+    if not spectral.is_expanding(tm):
         raise PreconditionError("Nielsen search needs an expanding map")
 
 

@@ -10,9 +10,9 @@ stretch factor equal to the dilatation.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
-
-import numpy as np
+from functools import reduce
 
 from .errors import PreconditionError
 from .graphs import DerivedStore, GraphMap, ReadOnlyDict, base_label
@@ -29,27 +29,28 @@ _RESIDUAL_TOL = 1e-10
 class TransitionMatrix(DerivedStore):
     """Nonnegative integer matrix indexed by unoriented edge pairs.
 
-    ``mat[i, j]`` counts crossings of pair ``pairs[i]`` by the image of
-    pair ``pairs[j]``.  ``mat`` is a read-only copy, and the matrix class
-    and PF data are stored on the instance once computed.
+    ``mat[i][j]`` counts crossings of pair ``pairs[i]`` by the image of
+    pair ``pairs[j]``.  ``mat`` is a tuple of int tuples, so it cannot be
+    changed, and the matrix class and PF data are stored on the instance
+    once computed.
     """
 
     def __init__(self, pairs, mat):
         self._store = {}
         self.pairs = tuple(pairs)
-        self.mat = np.array(mat, dtype=np.int64)
-        self.mat.flags.writeable = False
+        self.mat = tuple(tuple(map(int, row)) for row in mat)
         n = len(self.pairs)
-        if self.mat.shape != (n, n) or (self.mat < 0).any():
+        if len(self.mat) != n or any(len(row) != n or min(row) < 0
+                                     for row in self.mat):
             raise PreconditionError("malformed transition matrix")
 
     def __eq__(self, other):
         if not isinstance(other, TransitionMatrix):
             return NotImplemented
-        return self.pairs == other.pairs and (self.mat == other.mat).all()
+        return self.pairs == other.pairs and self.mat == other.mat
 
     def __repr__(self):
-        return f"TransitionMatrix({self.pairs}, {self.mat.tolist()})"
+        return f"TransitionMatrix({self.pairs}, {list(map(list, self.mat))})"
 
 
 class PFData:
@@ -66,7 +67,7 @@ class PFData:
 
 def transition_matrix(g: GraphMap) -> TransitionMatrix:
     """Transition matrix of a self-map, stored on g and shared by every
-    caller (its ``mat`` is read-only)."""
+    caller (its ``mat`` is a tuple of tuples)."""
     return g._derived("transition_matrix", _transition_matrix)
 
 
@@ -75,78 +76,72 @@ def _transition_matrix(g):
         raise PreconditionError("transition matrix needs a self-map")
     pairs = g.domain.pairs
     idx = {p: i for i, p in enumerate(pairs)}
-    n = len(pairs)
-    mat = np.zeros((n, n), dtype=np.int64)
-    for e in pairs:
+    mat = [[0] * len(pairs) for _ in pairs]
+    for j, e in enumerate(pairs):
         for f, count in Counter(g.image(e)).items():
-            mat[idx[base_label(f)], idx[e]] += count
+            mat[idx[base_label(f)]][j] += count
     return TransitionMatrix(pairs, mat)
 
 
-def _strongly_connected(support):
-    n = support.shape[0]
-
-    def reach(adj):
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for v in np.nonzero(adj[u])[0]:
-                if v not in seen:
-                    seen.add(int(v))
-                    stack.append(int(v))
-        return seen
-
-    # arcs e -> f whenever the image of e crosses f, i.e. mat[f, e] > 0
-    fwd = support.T
-    return len(reach(fwd)) == n and len(reach(fwd.T)) == n
+def _bit_product(p, q):
+    """Boolean product of two matrices held as bit rows (bit j of row i
+    is set when entry (i, j) is positive)."""
+    return [reduce(operator.or_, (qk for k, qk in enumerate(q) if row >> k & 1), 0)
+            for row in p]
 
 
 def matrix_class(tm: TransitionMatrix) -> str:
     """One of reducible / irreducible-imprimitive / primitive.
 
-    Irreducibility is strong connectivity of the support digraph;
-    primitivity is positivity of some power M^k with k within the
-    Wielandt bound (n-1)^2 + 1.  Stored on tm.
+    Irreducibility is strong connectivity of the support digraph, read
+    off the reflexive transitive closure; primitivity is positivity of
+    some Boolean power M^k with k within the Wielandt bound (n-1)^2 + 1.
+    Both are exact.  Stored on tm.
     """
     return tm._derived("matrix_class", _matrix_class)
 
 
 def _matrix_class(tm):
-    support = (tm.mat > 0)
-    n = support.shape[0]
-    if not _strongly_connected(support):
+    rows = [sum(1 << j for j, m in enumerate(row) if m) for row in tm.mat]
+    n = len(rows)
+    full = (1 << n) - 1
+    # (I + M)^(2^b) with 2^b >= n covers every path, so it is positive
+    # exactly when each edge pair reaches every other
+    reach = [row | 1 << i for i, row in enumerate(rows)]
+    for _ in range(n.bit_length()):
+        reach = _bit_product(reach, reach)
+    if any(row != full for row in reach):
         return REDUCIBLE
-    bound = (n - 1) ** 2 + 1
-    p = support.astype(np.int64)
-    b = support.astype(np.int64)
-    for _ in range(bound):
-        if (p > 0).all():
+    p = rows
+    for _ in range((n - 1) ** 2 + 1):
+        if all(row == full for row in p):
             return PRIMITIVE
-        p = np.minimum(p @ b, 1)
+        p = _bit_product(p, rows)
     return IMPRIMITIVE
 
 
-def _digraph_period(support):
+def is_expanding(tm: TransitionMatrix) -> bool:
+    """lam > 1, in integers, for an irreducible matrix: lam lies strictly
+    between the least and largest column sum unless they are equal, and
+    no column of an irreducible matrix with n > 1 is zero."""
+    return max(map(sum, zip(*tm.mat))) > 1
+
+
+def _digraph_period(mat):
     """gcd of cycle lengths of a strongly connected support digraph."""
-    n = support.shape[0]
-    adj = support.T  # arcs e -> f
+    arcs = [(u, v) for u, row in enumerate(mat) for v, m in enumerate(row) if m]
     dist = {0: 0}
-    order = [0]
-    queue = [0]
-    while queue:
-        u = queue.pop(0)
-        for v in np.nonzero(adj[u])[0]:
-            v = int(v)
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                order.append(v)
-                queue.append(v)
-    g = 0
-    for u in range(n):
-        for v in np.nonzero(adj[u])[0]:
-            g = math.gcd(g, dist[u] + 1 - dist[int(v)])
-    return max(g, 1)
+    for _ in mat:  # a path length from 0 to every pair after n sweeps
+        for u, v in arcs:
+            if u in dist:
+                dist.setdefault(v, dist[u] + 1)
+    return max(math.gcd(*(dist[u] + 1 - dist[v] for u, v in arcs)), 1)
+
+
+def _mat_vec(a, x):
+    # each entry summed left to right: the printed residual's digits
+    # follow the rounding of the last iterate
+    return [sum(map(float.__mul__, row, x)) for row in a]
 
 
 def _power_iterate(a):
@@ -154,16 +149,16 @@ def _power_iterate(a):
 
     Deterministic uniform start; returns (lam, x) with sum(x) = 1.
     """
-    n = a.shape[0]
-    x = np.full(n, 1.0 / n)
+    n = len(a)
+    x = [1.0 / n] * n
     lam = 0.0
     for _ in range(_POWER_CAP):
-        y = a @ x
-        s = float(y.sum())
+        y = _mat_vec(a, x)
+        s = sum(y)
         if s <= 0:
             raise PreconditionError("matrix is not expanding on the support")
-        x_new = y / s
-        if (np.abs(x_new - x).max() <= _POWER_RTOL
+        x_new = [v / s for v in y]
+        if (max(map(abs, map(float.__sub__, x_new, x))) <= _POWER_RTOL
                 and abs(s - lam) <= _POWER_RTOL * max(1.0, s)):
             return s, x_new
         x, lam = x_new, s
@@ -185,25 +180,30 @@ def _pf_data(tm):
     cls = matrix_class(tm)
     if cls == REDUCIBLE:
         raise PreconditionError("transition matrix is reducible")
-    a = tm.mat.T.astype(float)
+    mt = tuple(zip(*tm.mat))
+    a = [list(map(float, row)) for row in mt]
     if cls == PRIMITIVE:
         lam, x = _power_iterate(a)
     else:
-        p = _digraph_period(tm.mat > 0)
-        lam_p, x0 = _power_iterate(np.linalg.matrix_power(a, p))
+        p = _digraph_period(tm.mat)
+        # (M^T)^p in exact integers, then as floats
+        ap = mt
+        for _ in range(p - 1):
+            ap = [[sum(map(operator.mul, row, col)) for col in tm.mat]
+                  for row in ap]
+        lam_p, vec = _power_iterate([list(map(float, row)) for row in ap])
         lam = lam_p ** (1.0 / p)
-        x = np.zeros_like(x0)
-        vec = x0.copy()
+        x = [0.0] * len(vec)
         for _ in range(p):
-            x += vec
-            vec = (a @ vec) / lam
-        x = x / x.sum()
-    residual = float(np.abs(a @ x - lam * x).max())
+            x = list(map(float.__add__, x, vec))
+            vec = [v / lam for v in _mat_vec(a, vec)]
+        total = sum(x)
+        x = [v / total for v in x]
+    residual = max(abs(u - lam * v) for u, v in zip(_mat_vec(a, x), x))
     if residual > _RESIDUAL_TOL:
         raise PreconditionError(
             f"eigenpair residual {residual:.3g} exceeds {_RESIDUAL_TOL}")
-    lengths = {pair: float(v) for pair, v in zip(tm.pairs, x)}
-    return PFData(lam, lengths, residual)
+    return PFData(lam, dict(zip(tm.pairs, x)), residual)
 
 
 def eigenmetric(g: GraphMap):

@@ -7,7 +7,6 @@ import itertools
 import pickle
 from collections.abc import Mapping
 
-import numpy as np
 import pytest
 
 from loneaxis.cli import GraphMapDocument, parse_document, serialize_document
@@ -35,8 +34,6 @@ def plain(x):
     """Comparable plain data for a result object, its store left out."""
     if isinstance(x, (GraphMap, MarkedGraph)):
         return x
-    if isinstance(x, np.ndarray):
-        return x.tolist()
     if isinstance(x, Mapping):
         return {k: plain(v) for k, v in x.items()}
     if isinstance(x, (tuple, list)):
@@ -157,8 +154,10 @@ def test_mutating_results_cannot_change_verdicts():
     with pytest.raises(TypeError):
         traintrack.gates(g).gate_of["a"] = ("a",)
     tm = spectral.transition_matrix(g)
-    with pytest.raises(ValueError):
-        tm.mat[0, 0] = 7
+    with pytest.raises(TypeError):
+        tm.mat[0][0] = 7
+    with pytest.raises(TypeError):
+        tm.mat[0] = (7, 7, 7)
     with pytest.raises(TypeError):
         spectral.pf_data(tm).edge_lengths["a"] = 1.0
     with pytest.raises(TypeError):
@@ -183,10 +182,10 @@ def test_copies_start_empty_and_results_pickle():
 
 
 def test_transition_matrix_copies_its_input():
-    rows = np.array([[1, 1], [1, 0]])
+    rows = [[1, 1], [1, 0]]
     tm = spectral.TransitionMatrix(("a", "b"), rows)
-    rows[0, 0] = 5
-    assert tm.mat.tolist() == [[1, 1], [1, 0]]
+    rows[0][0] = 5
+    assert tm.mat == ((1, 1), (1, 0))
 
 
 def test_failures_are_raised_again():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from loneaxis.errors import NielsenPathPresentError, PreconditionError
-from loneaxis.graphs import power, rev_edge, rev_path
+from loneaxis.graphs import power, rev_edge, rev_path, rose_map
 from loneaxis import axes, nielsen, traintrack
 
 from conftest import (cubic_map, defect_map, dumbbell_instance,
@@ -51,6 +51,12 @@ class TestFindNielsenPaths:
     def test_rotationless_precondition(self):
         with pytest.raises(PreconditionError):
             nielsen.find_nielsen_paths(cubic_map(), 10)
+
+    def test_expanding_precondition(self):
+        # the one-petal identity permutes its single edge: a rotationless
+        # train track map with an irreducible matrix, and lam = 1 exactly
+        with pytest.raises(PreconditionError, match="needs an expanding map"):
+            nielsen.find_nielsen_paths(rose_map({"a": "a"}), 10)
 
     def test_reported_paths_are_fixed(self, fib2):
         report = nielsen.find_nielsen_paths(fib2, 12)
