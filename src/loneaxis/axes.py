@@ -742,9 +742,10 @@ class AxisSignature:
     Each record is the isomorphism class of the graph entering a fold
     round together with the canonical label of the folded turn.  The
     records come from decomposing the canonical rotationless power, so
-    the signature of a power agrees with the signature of the base map;
-    ``lam`` keeps the dilatation of the original input for power
-    bookkeeping.
+    the signature of a power agrees with the signature of the base map.
+    The rotationless power g^e folds through ``repetitions`` primitive
+    periods, so g itself moves tau = repetitions / rotationless_exponent
+    periods along the line; ``lam`` keeps the dilatation of g.
     """
 
     def __init__(self, records, lam, rotationless_exponent, repetitions):
@@ -847,12 +848,12 @@ def _singular_period_multiset(g: GraphMap, k: int):
 class ConjugacyVerdict:
     """Outcome of the conjugate-power comparison.
 
-    status is conjugate-powers / not-detected / inapplicable.  The
-    detector is conservative: a positive verdict needs matching fold
-    records, a dilatation relation, equal index lists, isomorphic ideal
-    Whitehead graphs, and matching singular-ray cycle types at the
-    claimed powers.  A mismatch anywhere reports not-detected rather
-    than non-conjugacy.
+    status is conjugate-powers / not-detected / inapplicable; powers
+    (k, l) solve k tau1 = l tau2 for tau = repetitions /
+    rotationless_exponent.  A positive verdict needs matching fold
+    records, equal index lists, isomorphic ideal Whitehead graphs, and,
+    at (k, l), the dilatation relation and matching singular-ray cycle
+    types.  A mismatch anywhere reports not-detected, not non-conjugacy.
     """
 
     def __init__(self, status, powers=None, detail=""):
@@ -866,20 +867,19 @@ class ConjugacyVerdict:
         return f"ConjugacyVerdict({self.status})"
 
 
-def conjugate_power_check(g1: GraphMap, g2: GraphMap, max_power: int = 10,
+def conjugate_power_check(g1: GraphMap, g2: GraphMap,
                           np_bound: int = nielsen.DEFAULT_BOUND) -> ConjugacyVerdict:
     """Detect powers k, l with the first map's k-th power conjugate to
     the second map's l-th power.
 
-    Primitive axis signatures are compared up to rotation, the smallest
-    dilatation relation lam1^k = lam2^l is located on a log scale, and
-    the claim is then screened against power-invariant data: index
+    Primitive axis signatures are compared up to rotation.  A map g
+    moves tau = repetitions / rotationless_exponent primitive periods
+    along its fold line, so (k, l) is the reduced ratio with
+    k tau1 = l tau2.  The claim is screened there by lam1^k = lam2^l
+    (on a log scale, within 1e-8) and by power-invariant data: index
     lists, ideal Whitehead graph classes, and the cycle type of the
-    power acting on singular rays.  Only the primitive (k, l) is
-    screened; higher multiples are not retried.
+    power acting on singular rays.
     """
-    if max_power < 1:
-        raise PreconditionError("max_power must be a positive integer")
     decisions = []
     for g, tag in ((g1, "first"), (g2, "second")):
         rep = lone_axis_decision(g, np_bound)
@@ -898,25 +898,17 @@ def conjugate_power_check(g1: GraphMap, g2: GraphMap, max_power: int = 10,
                                           decisions[1].ideal_graph):
         return ConjugacyVerdict("not-detected",
                                 detail="ideal Whitehead graphs differ")
-    log1, log2 = math.log(s1.lam), math.log(s2.lam)
-    powers = None
-    for total in range(2, 2 * max_power + 1):
-        for k in range(1, min(max_power, total - 1) + 1):
-            l = total - k
-            if l <= max_power and abs(k * log1 - l * log2) <= 1e-8:
-                powers = (k, l)
-                break
-        if powers:
-            break
-    if powers is None:
-        return ConjugacyVerdict("not-detected",
-                                detail="records match but no dilatation "
-                                       "relation within the power bound")
-    k, l = powers
+    k, l = Fraction(s2.repetitions * s1.rotationless_exponent,
+                    s1.repetitions * s2.rotationless_exponent).as_integer_ratio()
+    if abs(k * s1.period - l * s2.period) > 1e-8:
+        return ConjugacyVerdict(
+            "not-detected",
+            detail=f"records match but the dilatations differ at powers "
+                   f"({k}, {l})")
     if _singular_period_multiset(g1, k) != _singular_period_multiset(g2, l):
         return ConjugacyVerdict(
             "not-detected",
             detail=f"singular-ray cycle types differ at powers ({k}, {l})")
-    return ConjugacyVerdict("conjugate-powers", powers,
+    return ConjugacyVerdict("conjugate-powers", (k, l),
                             detail="signatures, dilatations, and "
                                    "power-invariants all match")

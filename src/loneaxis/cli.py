@@ -20,8 +20,9 @@ and optional metadata::
 
 Image words are space-separated edge tokens; a trailing apostrophe
 marks the reversed edge (c').  Exit codes: 0 affirmative/success,
-1 negative verdict, 2 unknown at the configured bound, 3 input error,
-4 failed internal self-check.
+1 negative verdict, 2 unknown at the configured bound, 3 input error
+(a usage error, an unreadable or non-UTF-8 document, or a failed
+precondition), 4 failed internal self-check.
 """
 
 from __future__ import annotations
@@ -458,17 +459,14 @@ def _cmd_signature(doc, args):
 
 
 def _cmd_conjugate_power(doc, args):
-    with open(args.other) as fh:
-        try:
-            other = parse_document(fh.read())
-        except ParseError as ex:
-            raise ParseError(ex.line, ex.message, path=args.other) from None
+    try:
+        other = _read_document(args.other)
+    except ParseError as ex:
+        raise ParseError(ex.line, ex.message, path=args.other) from None
     verdict = axes.conjugate_power_check(doc.graph_map, other.graph_map,
-                                         max_power=args.max_power,
                                          np_bound=args.bound)
     report = _report_skeleton(doc, "conjugate-power")
     report["bounds"]["nielsen_bound"] = args.bound
-    report["bounds"]["max_power"] = args.max_power
     report["values"]["other_name"] = other.name
     report["verdicts"]["status"] = verdict.status
     report["values"]["detail"] = verdict.detail
@@ -512,8 +510,29 @@ def _human_lines(report):
         yield f"  bound {key}: {val}"
 
 
+def _read_document(path):
+    """Parse the UTF-8 document at path ('-' reads stdin)."""
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+    except UnicodeDecodeError as ex:
+        raise PreconditionError(f"{path}: {ex}") from None
+    return parse_document(text)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 3 (input error), not argparse's 2 (unknown)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="loneaxis",
         description="Analyze train track maps and decide the lone-axis "
                     "property of the outer automorphism they represent.")
@@ -553,26 +572,14 @@ def build_parser():
         **{"--bound": dict(type=int, default=nielsen.DEFAULT_BOUND)})
     add("conjugate-power", "compare two maps for conjugate powers",
         **{"other": dict(help="second document"),
-           "--max-power": dict(type=int, default=10),
            "--bound": dict(type=int, default=nielsen.DEFAULT_BOUND)})
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.file == "-":
-            text = sys.stdin.read()
-        else:
-            with open(args.file) as fh:
-                text = fh.read()
-        doc = parse_document(text)
-    except (OSError, ParseError) as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return EXIT_INPUT
-
-    try:
+        doc = _read_document(args.file)
         report, code = run_subcommand(args.command, args, doc)
     except InternalCheckError as ex:
         print(f"error: internal check failed: {ex}", file=sys.stderr)

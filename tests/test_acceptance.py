@@ -197,13 +197,12 @@ def test_criterion_8_power_invariance():
 def test_criterion_9_conjugacy_detection():
     """Relabeled copy -> (1,1); square -> (2,1); mixed pair inapplicable."""
     v1 = axes.conjugate_power_check(cubic_map(), cubic_map_relabeled(),
-                                    max_power=5, np_bound=13)
+                                    np_bound=13)
     assert v1.status == "conjugate-powers" and v1.powers == (1, 1)
     v2 = axes.conjugate_power_check(cubic_map(), power(cubic_map(), 2),
-                                    max_power=5, np_bound=13)
+                                    np_bound=13)
     assert v2.status == "conjugate-powers" and v2.powers == (2, 1)
-    v3 = axes.conjugate_power_check(fib_map(), cubic_map(),
-                                    max_power=5, np_bound=13)
+    v3 = axes.conjugate_power_check(fib_map(), cubic_map(), np_bound=13)
     assert v3.status == "inapplicable"
     ok(9, "conjugate-power verdicts exact on all three pairs")
 

@@ -224,30 +224,24 @@ class TestAxisSignature:
 class TestConjugatePowerCheck:
     def test_relabeled_copy(self):
         verdict = axes.conjugate_power_check(cubic_map(), cubic_map_relabeled(),
-                                             max_power=5, np_bound=13)
+                                             np_bound=13)
         assert verdict.status == "conjugate-powers"
         assert verdict.powers == (1, 1)
 
     def test_square(self):
         verdict = axes.conjugate_power_check(cubic_map(), power(cubic_map(), 2),
-                                             max_power=5, np_bound=13)
+                                             np_bound=13)
         assert verdict.status == "conjugate-powers"
         assert verdict.powers == (2, 1)
 
-    @pytest.mark.parametrize("max_power", [0, -2])
-    def test_max_power_must_be_positive(self, max_power):
-        with pytest.raises(PreconditionError, match="max_power"):
-            axes.conjugate_power_check(cubic_map(), cubic_map_relabeled(),
-                                       max_power=max_power)
-
     def test_inapplicable(self):
         verdict = axes.conjugate_power_check(fib_map(), cubic_map(),
-                                             max_power=5, np_bound=13)
+                                             np_bound=13)
         assert verdict.status == "inapplicable"
 
     def test_power_order_swapped(self):
         verdict = axes.conjugate_power_check(power(cubic_map(), 2), cubic_map(),
-                                             max_power=5, np_bound=13)
+                                             np_bound=13)
         assert verdict.powers == (1, 2)
 
     def test_matching_dilatation_but_different_ray_dynamics(self):
@@ -258,21 +252,39 @@ class TestConjugatePowerCheck:
         other = rose_map({"a": "aab", "b": "bc", "c": "a"})
         assert abs(spectral.dilatation(other)
                    - spectral.dilatation(cubic_map()) ** 3) < 1e-9
-        verdict = axes.conjugate_power_check(cubic_map(), other,
-                                             max_power=6, np_bound=16)
+        verdict = axes.conjugate_power_check(cubic_map(), other, np_bound=16)
         assert verdict.status == "not-detected"
         assert "cycle types" in verdict.detail
 
     def test_unrelated_dilatations_not_detected(self):
         other = rose_map({"a": "aab", "b": "bac", "c": "a"})
-        verdict = axes.conjugate_power_check(cubic_map(), other,
-                                             max_power=6, np_bound=16)
+        verdict = axes.conjugate_power_check(cubic_map(), other, np_bound=16)
         assert verdict.status == "not-detected"
+
+    @pytest.mark.parametrize("j", [12, 18])
+    def test_high_power_of_relabeled_copy(self, j):
+        # g^j moves j fold periods for every j, so no power cap applies
+        high = power(cubic_map_relabeled(), j)
+        verdict = axes.conjugate_power_check(cubic_map(), high)
+        assert verdict.status == "conjugate-powers"
+        assert verdict.powers == (j, 1)
+        assert axes.conjugate_power_check(high, cubic_map()).powers == (1, j)
+
+    def test_colliding_records_with_unrelated_dilatations(self):
+        # lam ~ 4.365 and ~ 6.033: the fold records agree and the fold
+        # periods give (7, 5), where lam1^7 != lam2^5
+        p1 = rose_map({"a": "bba", "b": "cbbab", "c": "bbac"})
+        p2 = rose_map({"a": "bacbaccbba", "b": "cbbacb", "c": "bac"})
+        assert axes.axis_signature(p1) == axes.axis_signature(p2)
+        verdict = axes.conjugate_power_check(p1, p2)
+        assert verdict.status == "not-detected"
+        assert verdict.powers is None
+        assert "dilatations differ at powers (7, 5)" in verdict.detail
 
     def test_relabeled_second_example(self):
         p1 = rose_map({"a": "aab", "b": "bc", "c": "a"})
         p2 = rose_map({"x": "xxy", "y": "yz", "z": "x"})
-        verdict = axes.conjugate_power_check(p1, p2, max_power=5, np_bound=16)
+        verdict = axes.conjugate_power_check(p1, p2, np_bound=16)
         assert verdict.status == "conjugate-powers"
         assert verdict.powers == (1, 1)
 

@@ -316,10 +316,40 @@ class TestSubcommands:
         assert json.loads(out)["values"]["powers"] == [1, 1]
         assert run(["conjugate-power", f_file, h_file, "--bound", "13"]) == 2
 
-    def test_conjugate_power_max_power_is_input_error(self, h_file, capsys):
-        code = run(["conjugate-power", h_file, h_file, "--max-power", "0"])
-        assert code == 3
-        assert "max_power must be a positive integer" in capsys.readouterr().err
+    @pytest.mark.parametrize("argv", [
+        ["lone-axis"],
+        ["lone-axis", "FILE", "--bound", "x"],
+        # the power comes from the fold periods, so there is no cap to set
+        ["conjugate-power", "FILE", "FILE", "--max-power", "5"],
+    ], ids=["no-file", "bad-bound", "max-power"])
+    def test_usage_error_is_input_error(self, h_file, capsys, argv):
+        # argparse's own exit 2 would read as "unknown at the bound"
+        with pytest.raises(SystemExit) as exited:
+            run([h_file if arg == "FILE" else arg for arg in argv])
+        assert exited.value.code == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage: loneaxis")
+        assert captured.out == ""
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            run(["conjugate-power", "--help"])
+        assert exited.value.code == 0
+        assert "usage: loneaxis conjugate-power" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_undecodable_document_is_input_error(self, h_file, tmp_path,
+                                                 capsys, position):
+        p = tmp_path / "latin1.doc"
+        p.write_bytes(H_DOC.replace("map", "# caf\xe9\nmap").encode("latin-1"))
+        files = [h_file, h_file]
+        files[position] = str(p)
+        for argv in (["check", files[position]], ["conjugate-power", *files]):
+            assert run(argv) == 3
+            captured = capsys.readouterr()
+            assert captured.err.startswith(
+                f"error: {p}: 'utf-8' codec can't decode byte 0xe9")
+            assert captured.out == ""
 
     def test_non_finite_length_exit(self, tmp_path, capsys):
         p = tmp_path / "inf.doc"
