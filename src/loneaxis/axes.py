@@ -89,8 +89,6 @@ class _Stages(Sequence):
         return len(self._items)
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self[j] for j in range(*i.indices(len(self))))
         i = range(len(self))[i]
         if self._items[i] is None:
             self._items[i] = self._build(i)
@@ -501,7 +499,7 @@ def fold_line(g: GraphMap, periods: int, samples_per_period: int):
     current = _with_graphs(g, graph0, graph0)
 
     line = [_normalized(graph0)]
-    for _ in range(periods):
+    for period in range(1, periods + 1):
         seq = stallings_decomposition(current)
         # the stage after each fold
         stages = [idx + 1 for _, idx, _ in seq.fold_rounds]
@@ -511,11 +509,12 @@ def fold_line(g: GraphMap, periods: int, samples_per_period: int):
                             for j in range(1, samples_per_period + 1)})
             line += [_normalized(_stage_metric(seq, stages[i - 1], lam))
                      for i in picks]
-        # the representative at the end of the period
-        last = len(seq.graphs) - 1
-        end_graph = _normalized(_stage_metric(seq, last, lam))
-        current = _with_graphs(seq.induced_representative(last),
-                               end_graph, end_graph)
+        if period < periods:
+            # the representative at the end of the period starts the next
+            last = len(seq.graphs) - 1
+            end_graph = _normalized(_stage_metric(seq, last, lam))
+            current = _with_graphs(seq.induced_representative(last),
+                                   end_graph, end_graph)
     return line
 
 

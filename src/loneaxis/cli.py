@@ -514,7 +514,11 @@ def _read_document(path):
     """Parse the UTF-8 document at path ('-' reads stdin)."""
     try:
         if path == "-":
-            text = sys.stdin.read()
+            # decode the bytes, so that stdin is strict UTF-8 whatever the
+            # locale (a text stream such as io.StringIO is read as it is)
+            buffer = getattr(sys.stdin, "buffer", None)
+            text = (sys.stdin.read() if buffer is None
+                    else buffer.read().decode("utf-8"))
         else:
             with open(path, encoding="utf-8") as fh:
                 text = fh.read()

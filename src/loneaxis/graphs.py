@@ -208,10 +208,10 @@ class MarkedGraph:
                 f"{len(self.pairs)} edge pairs, rank {self.rank()})")
 
 
-def rose(labels, vertex="v0", lengths=None, normalized=False):
-    """Rose with one petal per label, based at a single vertex."""
-    subdiv = (vertex,) if len(labels) == 1 else ()
-    return MarkedGraph({lbl: (vertex, vertex) for lbl in labels},
+def rose(labels, lengths=None, normalized=False):
+    """Rose with one petal per label, based at the vertex v0."""
+    subdiv = ("v0",) if len(labels) == 1 else ()
+    return MarkedGraph({lbl: ("v0", "v0") for lbl in labels},
                        lengths=lengths, subdivision_vertices=subdiv,
                        normalized=normalized)
 
@@ -353,7 +353,7 @@ def power(g: GraphMap, k: int) -> GraphMap:
     return out
 
 
-def rose_map(images, vertex="v0"):
+def rose_map(images):
     """Self-map of a rose given by words, e.g. {"a": "b", "c": ("a", "b")}.
 
     String values are split on whitespace when they contain spaces,
@@ -375,4 +375,4 @@ def rose_map(images, vertex="v0"):
         else:
             parsed[lbl] = tuple(word)
     graph = rose(sorted(parsed))
-    return GraphMap(graph, graph, {vertex: vertex}, parsed)
+    return GraphMap(graph, graph, {"v0": "v0"}, parsed)

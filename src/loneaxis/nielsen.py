@@ -75,33 +75,10 @@ def _require_rotationless_tt(g):
 
 
 def _fixed_directions(g):
+    # g(d) starts at the image of init(d), so a fixed direction fixes its
+    # vertex too
     dmap = traintrack.direction_map(g)
-    return [d for d in g.domain.oriented
-            if dmap[d] == d and g.vertex_map[g.domain.init_vertex(d)]
-            == g.domain.init_vertex(d)]
-
-
-def _eigenray(g, d, bound):
-    """Prefix of at most `bound` edges of the ray obtained by iterating g
-    on a fixed direction.
-
-    The ray is legal, so images concatenate without cancellation, each
-    iterate extends the previous one, and the image of a prefix is a
-    longer prefix of the same ray.
-    """
-    ray = (d,)
-    while len(ray) < bound:
-        grown = []
-        for e in ray:
-            grown += g.image(e)
-            if len(grown) >= bound:
-                break
-        if grown[:len(ray)] != list(ray):
-            raise InternalCheckError(f"direction {d} does not extend its ray")
-        if len(grown) == len(ray):
-            break  # non-expanding direction; cannot feed a leg
-        ray = tuple(grown[:bound])
-    return ray
+    return [d for d in g.domain.oriented if dmap[d] == d]
 
 
 def _tail(g, ray, n, i):
@@ -130,17 +107,17 @@ def _iterative_search(g, bound):
     whose junction is tight and degenerates in one step is fixed exactly
     when tau_a(i) = tau_b(j): the two legal images can only cancel at the
     junction, since a legal ray contains no illegal turn; legality is
-    checked where the images of consecutive ray edges meet.  Legs are
-    grouped by junction direction and tail length, and only legs of one
-    group have their tails compared, letter by letter as `_tail` reads
-    them from the edge images, so the image of a ray is never built; the
-    tightened image confirms each candidate.
+    checked where the images of consecutive ray edges meet, in the pass
+    that grows R[:bound] from those images.  Legs are grouped by junction
+    direction and tail length, and only legs of one group have their
+    tails compared, letter by letter as `_tail` reads them from the edge
+    images, so the image of a ray is never built; the tightened image
+    confirms each candidate.
     """
     dmap = traintrack.direction_map(g)
     groups = {}
     for d in _fixed_directions(g):
-        ray = _eigenray(g, d, bound)
-        n, last = [0], None
+        ray, n, last = [d], [0], None
         for i, e in enumerate(ray, 1):
             img = g.image(e)
             if rev_edge(img[0]) == last:
@@ -148,6 +125,11 @@ def _iterative_search(g, bound):
                     f"the ray of direction {d} is not legal: its image cancels")
             last = img[-1]
             n.append(n[-1] + len(img))
+            if len(ray) < bound:
+                # g(R[:i]) = R[:n(i)], so g(R[i-1]) ends at letter n(i):
+                # append its letters past the ray's end, up to the bound,
+                # and the loop goes on over them
+                ray += img[len(ray) - n[i - 1]:bound - n[i - 1]]
             groups.setdefault((dmap[rev_edge(e)], n[i] - i), []).append(
                 (ray, n, i))
 
@@ -159,7 +141,7 @@ def _iterative_search(g, bound):
             if ray_a[i - 1] == ray_b[j - 1]:
                 continue  # junction would not be tight
             if all(map(eq, _tail(g, ray_a, n_a, i), _tail(g, ray_b, n_b, j))):
-                rho = ray_a[:i] + rev_path(ray_b[:j])
+                rho = tuple(ray_a[:i]) + rev_path(ray_b[:j])
                 if g.apply_path(rho) == rho:
                     found.add(_canonical(rho))
     return sorted(found)

@@ -126,6 +126,18 @@ class TestFoldLine:
         with pytest.raises(PreconditionError):
             axes.fold_line(identity_map(2), 1, 1)
 
+    @pytest.mark.parametrize("samples", [0, 3])
+    def test_last_period_builds_no_representative(self, monkeypatch, samples):
+        # the representative at the end of a period only starts the next one
+        expected = axes.fold_line(cubic_map(), 1, samples)
+
+        def refuse(seq, stage):
+            raise AssertionError("built a representative nothing reads")
+
+        monkeypatch.setattr(axes.FoldSequence, "induced_representative",
+                            refuse)
+        assert axes.fold_line(cubic_map(), 1, samples) == expected
+
 
 class TestLoneAxisDecision:
     def test_cubic_affirmative(self):

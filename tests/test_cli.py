@@ -486,6 +486,19 @@ class TestSubcommands:
         monkeypatch.setattr("sys.stdin", io.StringIO(H_DOC))
         assert run(["check", "-"]) == 0
 
+    def test_undecodable_stdin_is_input_error(self, capsys, monkeypatch):
+        # a C locale decodes stdin with surrogate escapes; the document
+        # must still be read as strict UTF-8, as a FILE is
+        import io
+        data = H_DOC.replace("map", "# \xff\nmap").encode("latin-1")
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
+            io.BytesIO(data), encoding="utf-8", errors="surrogateescape"))
+        assert run(["check", "-"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "error: -: 'utf-8' codec can't decode byte 0xff")
+        assert captured.out == ""
+
 
 class TestDeterminism:
     def test_reports_byte_identical(self, h_file, capsys):

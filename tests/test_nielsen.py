@@ -135,6 +135,15 @@ class TestLegMatching:
         assert nielsen.is_fully_stable(g, 40) is False
 
 
+def eigenray(g, d, bound):
+    """R[:bound] at a fixed direction d: the joined images of the prefix,
+    cut at the bound, until they add nothing."""
+    ray = (d,)
+    while (grown := concatenated_image(g, ray)[:bound]) != ray:
+        ray = grown
+    return ray
+
+
 def assert_tails_read_from_images(g, path):
     """Every tail read lazily equals the slice image[i:n(i)] of the
     joined image of the path."""
@@ -159,7 +168,7 @@ class TestTails:
         except PreconditionError:
             assume(False)
         for d in nielsen._fixed_directions(grot):
-            assert_tails_read_from_images(grot, nielsen._eigenray(grot, d, bound))
+            assert_tails_read_from_images(grot, eigenray(grot, d, bound))
         # eigenray tails are never empty on an expanding map; a word that
         # opens with one-letter images has tails with n(i) = i
         for h in (g, grot):
@@ -188,6 +197,29 @@ def test_search_memory_stays_within_the_edge_images():
         tracemalloc.stop()
     assert report.paths == () and report.exhaustive
     assert peak < 16 * 2 ** 20
+
+
+def test_short_search_copies_no_long_image():
+    # defect's power has edge images of up to 49 700 letters; a search at
+    # bound 4 reads them in place and copies at most 4 letters of each ray
+    grot, _ = axes.rotationless_power(defect_map())
+    nielsen._require_rotationless_tt(grot)
+    nielsen._proven_leg_bound(grot)
+    tracemalloc.start()
+    try:
+        report = nielsen.find_nielsen_paths(grot, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.paths == () and report.exhaustive
+    assert peak < 64 * 2 ** 10
+
+
+def test_fixed_directions_have_period_one(corpus):
+    for g in corpus:
+        periods = traintrack.periodic_structure(g).direction_periods
+        assert nielsen._fixed_directions(g) == [
+            d for d, p in periods.items() if p == 1]
 
 
 def assert_pruning_exact(g, bounds):
