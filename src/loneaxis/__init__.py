@@ -12,7 +12,7 @@ two maps for conjugate powers through canonical fold signatures.
 from .errors import (DecompositionError, InternalCheckError,
                      InvalidGraphError, InvalidMapError, LoneAxisError,
                      NielsenPathPresentError, NotLoneAxisError, ParseError,
-                     PreconditionError, UnknownAtBoundError)
+                     PreconditionError)
 from .graphs import (GraphMap, MarkedGraph, compose, power, rev_edge,
                      rev_path, rose, rose_map)
 from .isomorphism import canonical_encoding, canonical_form
@@ -22,7 +22,7 @@ from .traintrack import (GateStructure, PeriodicStructure, direction_map,
                          gate_index_sum, gates, is_rotationless,
                          is_train_track, periodic_structure, taken_turns)
 from .nielsen import (NielsenPathReport, ageometric_certificate,
-                      find_nielsen_paths, is_fully_stable)
+                      find_nielsen_paths, np_verdict)
 from .whitehead import (IndexReport, WhiteheadGraph, cut_vertices,
                         ideal_whitehead_graph, index_report,
                         local_whitehead_graph, stable_whitehead_graph,

@@ -523,7 +523,8 @@ class LoneAxisReport:
 
     ``overall`` is one of lone-axis / conditional / not-lone-axis /
     unknown, where conditional means both conditions hold but full
-    irreducibility was not asserted by the caller.
+    irreducibility was not asserted by the caller.  ``proven_leg_bound``
+    is the Nielsen search bound that settles an unknown verdict.
     """
 
     def __init__(self, **fields):
@@ -532,6 +533,7 @@ class LoneAxisReport:
         self.primitive = fields.pop("primitive")
         self.rotationless_exponent = fields.pop("rotationless_exponent")
         self.np_bound = fields.pop("np_bound")
+        self.proven_leg_bound = fields.pop("proven_leg_bound")
         self.np_free = fields.pop("np_free")
         self.index_sum = fields.pop("index_sum", None)
         self.index_list = fields.pop("index_list", None)
@@ -695,9 +697,10 @@ def lone_axis_decision(g: GraphMap, np_bound: int = nielsen.DEFAULT_BOUND,
             "cannot represent a fully irreducible automorphism")
     g._derived("homotopy_equivalence", _is_homotopy_equivalence)
     grot, exponent = rotationless_power(g)
-    np_free = nielsen.is_fully_stable(grot, np_bound)
+    np_free, _, np_report = nielsen.np_verdict(grot, np_bound)
     common = dict(rank=r, train_track=True, primitive=True,
                   rotationless_exponent=exponent, np_bound=np_bound,
+                  proven_leg_bound=np_report and np_report.proven_leg_bound,
                   fully_irreducible_asserted=bool(fully_irreducible_asserted))
 
     if np_free is False:

@@ -33,9 +33,8 @@ import math
 import sys
 from fractions import Fraction
 
-from .errors import (InternalCheckError, LoneAxisError,
-                     NielsenPathPresentError, ParseError, PreconditionError,
-                     UnknownAtBoundError)
+from .errors import (InternalCheckError, LoneAxisError, ParseError,
+                     PreconditionError)
 from .graphs import GraphMap, MarkedGraph, is_tight
 from . import axes, nielsen, spectral, traintrack, whitehead
 
@@ -305,25 +304,20 @@ def _cmd_gates(doc, args):
 
 def _cmd_pnp(doc, args):
     g, exponent = axes.rotationless_power(doc.graph_map)
+    free, reason, rep = nielsen.np_verdict(g, args.bound)
     report = _report_skeleton(doc, "pnp")
-    try:
-        rep = nielsen.find_nielsen_paths(g, args.bound)
-    except NielsenPathPresentError as ex:
-        # too many concatenations to list, so NPs are certainly present
-        report["bounds"]["search_bound"] = args.bound
-        report["values"]["rotationless_exponent"] = exponent
-        report["verdicts"]["nielsen_paths_present"] = True
-        report["values"]["reason"] = str(ex)
-        return report, EXIT_OK
-    report["bounds"]["search_bound"] = rep.search_bound
-    report["bounds"]["proven_leg_bound"] = rep.proven_leg_bound
+    report["bounds"]["search_bound"] = args.bound
     report["values"]["rotationless_exponent"] = exponent
+    if rep is None:
+        # too many concatenations to list, so NPs are certainly present
+        report["verdicts"]["nielsen_paths_present"] = True
+        report["values"]["reason"] = reason
+        return report, EXIT_OK
+    report["bounds"]["proven_leg_bound"] = rep.proven_leg_bound
     report["verdicts"]["exhaustive"] = rep.exhaustive
     report["values"]["nielsen_paths"] = [
         {"path": list(p.path), "indivisible": p.indivisible} for p in rep.paths]
-    if rep.paths or rep.exhaustive:
-        return report, EXIT_OK
-    return report, EXIT_UNKNOWN
+    return report, EXIT_UNKNOWN if free is None else EXIT_OK
 
 
 def _cmd_whitehead(doc, args):
@@ -339,16 +333,12 @@ def _cmd_whitehead(doc, args):
                    else whitehead.stable_whitehead_graph)
         wg = builder(g, vertex)
     else:
-        try:
-            wg = whitehead.ideal_whitehead_graph(g, args.bound)
-        except NielsenPathPresentError as ex:
-            report["verdicts"]["ideal_defined"] = False
-            report["values"]["reason"] = str(ex)
-            return report, EXIT_NEGATIVE
-        except UnknownAtBoundError as ex:
-            report["verdicts"]["ideal_defined"] = None
-            report["values"]["reason"] = str(ex)
-            return report, EXIT_UNKNOWN
+        free, reason, _ = nielsen.np_verdict(g, args.bound)
+        if not free:
+            report["verdicts"]["ideal_defined"] = free
+            report["values"]["reason"] = reason
+            return report, EXIT_UNKNOWN if free is None else EXIT_NEGATIVE
+        wg = whitehead.ideal_whitehead_graph(g, args.bound)
     dot = whitehead.to_dot(wg, name=doc.name)
     report["values"]["flavor"] = wg.flavor
     report["values"]["vertices"] = list(wg.vertices)
@@ -367,17 +357,14 @@ def _cmd_index(doc, args):
     report = _report_skeleton(doc, "index")
     report["values"]["rotationless_exponent"] = exponent
     report["bounds"]["nielsen_bound"] = args.bound
-    try:
-        idx = whitehead.index_report(g, args.bound)
-    except NielsenPathPresentError as ex:
-        report["verdicts"]["index_defined"] = False
-        report["values"]["reason"] = str(ex)
-        report["values"]["implied_index"] = _frac(Fraction(1 - g.domain.rank()))
-        return report, EXIT_NEGATIVE
-    except UnknownAtBoundError as ex:
-        report["verdicts"]["index_defined"] = None
-        report["values"]["reason"] = str(ex)
-        return report, EXIT_UNKNOWN
+    free, reason, _ = nielsen.np_verdict(g, args.bound)
+    if not free:
+        report["verdicts"]["index_defined"] = free
+        report["values"]["reason"] = reason
+        if free is False:
+            report["values"]["implied_index"] = _frac(Fraction(1 - g.domain.rank()))
+        return report, EXIT_UNKNOWN if free is None else EXIT_NEGATIVE
+    idx = whitehead.index_report(g, args.bound)
     report["verdicts"]["index_defined"] = True
     report["values"]["index_list"] = [_frac(e) for e in idx.entries]
     report["values"]["index_sum"] = _frac(idx.index_sum)
@@ -393,6 +380,8 @@ def _cmd_lone_axis(doc, args):
                                   fully_irreducible_asserted=asserted)
     report = _report_skeleton(doc, "lone-axis")
     report["bounds"]["nielsen_bound"] = args.bound
+    if rep.overall == "unknown":
+        report["bounds"]["proven_leg_bound"] = rep.proven_leg_bound
     report["verdicts"]["overall"] = rep.overall
     report["verdicts"]["train_track"] = rep.train_track
     report["verdicts"]["primitive"] = rep.primitive
@@ -511,16 +500,17 @@ def _human_lines(report):
 
 
 def _read_document(path):
-    """Parse the UTF-8 document at path ('-' reads stdin)."""
+    """Parse the UTF-8 document at path ('-' reads stdin); a leading
+    byte-order mark is dropped."""
     try:
         if path == "-":
             # decode the bytes, so that stdin is strict UTF-8 whatever the
             # locale (a text stream such as io.StringIO is read as it is)
             buffer = getattr(sys.stdin, "buffer", None)
             text = (sys.stdin.read() if buffer is None
-                    else buffer.read().decode("utf-8"))
+                    else buffer.read().decode("utf-8-sig"))
         else:
-            with open(path, encoding="utf-8") as fh:
+            with open(path, encoding="utf-8-sig") as fh:
                 text = fh.read()
     except UnicodeDecodeError as ex:
         raise PreconditionError(f"{path}: {ex}") from None

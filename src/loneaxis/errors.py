@@ -17,13 +17,12 @@ class PreconditionError(LoneAxisError):
     """An operation was called on input that fails its stated precondition."""
 
 
-class UnknownAtBoundError(LoneAxisError):
-    """A bounded search was inconclusive; retry with a larger bound."""
-
-
 class NielsenPathPresentError(LoneAxisError):
     """The representative carries a Nielsen path, so the requested
-    invariant (ideal Whitehead graph, index) is not defined from it."""
+    invariant (ideal Whitehead graph, index) is not defined from it;
+    the message is the reason of `nielsen.np_verdict`.  The search also
+    raises it when the paths are too many to list, and `np_verdict`
+    reads that as a False verdict."""
 
 
 class DecompositionError(LoneAxisError):

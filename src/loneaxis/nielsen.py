@@ -232,22 +232,28 @@ def _find_nielsen_paths(g, bound):
     return NielsenPathReport(paths, bound, bound >= proven, proven)
 
 
-def is_fully_stable(g: GraphMap, bound: int = DEFAULT_BOUND):
-    """True / False / None (unknown at this bound).
+def np_verdict(g: GraphMap, bound: int = DEFAULT_BOUND):
+    """(free, reason, report): the one reading of a Nielsen search.
 
-    A rotationless representative is fully stable exactly when it
-    carries no Nielsen paths, which the search certifies when
-    exhaustive.
+    ``free`` is True when the search certifies that g carries no Nielsen
+    path, False when it finds one and None when it is empty but not
+    exhaustive; ``reason`` (None when free) says why the ideal data is
+    undefined.  ``report`` is the stored search report, or None when the
+    concatenations were too many to list.
     """
     try:
         report = find_nielsen_paths(g, bound)
-    except NielsenPathPresentError:
-        return False
+    except NielsenPathPresentError as ex:
+        return False, str(ex), None
     if report.paths:
-        return False
-    if report.exhaustive:
-        return True
-    return None
+        return False, (f"representative carries a Nielsen path "
+                       f"{' '.join(report.paths[0].path)}; ideal data is "
+                       f"undefined here"), report
+    if not report.exhaustive:
+        return None, (f"Nielsen search at bound {report.search_bound} is not "
+                      f"exhaustive (proven bound {report.proven_leg_bound}); "
+                      f"raise it"), report
+    return True, None, report
 
 
 def ageometric_certificate(g: GraphMap, bound: int = DEFAULT_BOUND) -> str:
@@ -261,11 +267,9 @@ def ageometric_certificate(g: GraphMap, bound: int = DEFAULT_BOUND) -> str:
     """
     if spectral.matrix_class(spectral.transition_matrix(g)) != spectral.PRIMITIVE:
         raise PreconditionError("transition matrix is not primitive")
-    stable = is_fully_stable(g, bound)
-    if stable is None:
-        return "unknown"
-    if stable is False:
-        return "not-ageometric"
+    free = np_verdict(g, bound)[0]
+    if not free:
+        return "unknown" if free is None else "not-ageometric"
     gs = traintrack.gates(g)
     ps = traintrack.periodic_structure(g)
     index_sum = sum((1 - Fraction(gs.gate_count(v), 2)

@@ -4,9 +4,10 @@ The local graph at a vertex records which turns the attracting
 lamination takes there; the stable graph is its quotient to gates
 (each gate holds exactly one periodic direction); the ideal graph is
 the disjoint union of the stable graphs over principal vertices, with
-components of fewer than three vertices discarded.  Everything here
-requires an NP-free rotationless representative where stated, because
-Nielsen paths would glue components together.
+components of fewer than three vertices discarded.  The ideal graph
+and the index need an NP-free rotationless representative, because
+Nielsen paths would glue components together: both refuse a map that
+`nielsen.np_verdict` does not certify NP-free.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import (InternalCheckError, NielsenPathPresentError,
-                     PreconditionError, UnknownAtBoundError)
+                     PreconditionError)
 from .graphs import DerivedStore, GraphMap
 from .isomorphism import canonical_form
 from . import nielsen, traintrack
@@ -169,17 +170,12 @@ def stable_whitehead_graph(g: GraphMap, v) -> WhiteheadGraph:
     return WhiteheadGraph(STABLE, vertices, edges)
 
 
-def _np_certified(g, bound):
-    report = nielsen.find_nielsen_paths(g, bound)
-    if report.paths:
-        raise NielsenPathPresentError(
-            f"representative carries a Nielsen path "
-            f"{' '.join(report.paths[0].path)}; ideal data is undefined here")
-    if not report.exhaustive:
-        raise UnknownAtBoundError(
-            f"Nielsen search at bound {report.search_bound} is not "
-            f"exhaustive (proven bound {report.proven_leg_bound}); raise it")
-    return report
+def _require_np_free(g, bound):
+    free, reason, _ = nielsen.np_verdict(g, bound)
+    if free is None:
+        raise PreconditionError(reason)
+    if not free:
+        raise NielsenPathPresentError(reason)
 
 
 def ideal_whitehead_graph(g: GraphMap,
@@ -187,15 +183,15 @@ def ideal_whitehead_graph(g: GraphMap,
     """Disjoint union of stable graphs over principal vertices, keeping
     only components with at least three vertices.
 
-    Valid for NP-free rotationless representatives; NPs raise.  Stored
-    on g per bound, so every caller shares one graph and its canonical
-    form."""
-    return g._derived(("ideal_whitehead_graph", bound),
-                      lambda g: _ideal_whitehead_graph(g, bound))
+    Valid for NP-free rotationless representatives: NPs raise
+    NielsenPathPresentError, and a search at `bound` too short to certify
+    their absence raises PreconditionError.  Stored on g once, whatever
+    the bound, so every caller shares one graph and its canonical form."""
+    _require_np_free(g, bound)
+    return g._derived("ideal_whitehead_graph", _ideal_whitehead_graph)
 
 
-def _ideal_whitehead_graph(g, bound):
-    _np_certified(g, bound)
+def _ideal_whitehead_graph(g):
     ps = traintrack.periodic_structure(g)
     vertices = []
     edges = set()
@@ -237,8 +233,9 @@ def index_entries_from_gate_counts(counts):
 
 
 def index_report(g: GraphMap, bound: int = nielsen.DEFAULT_BOUND) -> IndexReport:
-    """Rotationless index data for an NP-free rotationless representative."""
-    _np_certified(g, bound)
+    """Rotationless index data for an NP-free rotationless representative;
+    refuses as `ideal_whitehead_graph` does."""
+    _require_np_free(g, bound)
     ps = traintrack.periodic_structure(g)
     gs = traintrack.gates(g)
     counts = {v: gs.gate_count(v) for v in ps.principal_vertices}

@@ -173,6 +173,15 @@ class TestSubcommands:
         assert code == 0
         assert "overall: lone-axis" in out
 
+    def test_lone_axis_unknown_names_the_proven_bound(self, capsys):
+        code, out = run_capture(
+            ["lone-axis", str(DOCS / "rank5.txt"), "--json"], capsys)
+        assert code == 2
+        report = json.loads(out)
+        assert report["verdicts"]["overall"] == "unknown"
+        assert report["bounds"] == {"nielsen_bound": 40,
+                                    "proven_leg_bound": 60}
+
     def test_lone_axis_negative(self, f_file, capsys):
         code, out = run_capture(["lone-axis", f_file, "--bound", "13"], capsys)
         assert code == 1
@@ -252,6 +261,21 @@ class TestSubcommands:
         assert report["values"]["reason"] == (
             "more than 200 divisible Nielsen paths within 80 edges")
         assert report["bounds"] == {"search_bound": 40}
+
+    @pytest.mark.parametrize("sub, key", [("index", "index_defined"),
+                                          ("whitehead", "ideal_defined")])
+    def test_ideal_data_too_many_concatenations(self, tmp_path, capsys, sub,
+                                                key):
+        p = tmp_path / "eight.doc"
+        p.write_text(serialize_document(GraphMapDocument(eight_petal_map())))
+        code, out = run_capture([sub, str(p), "--json"], capsys)
+        assert code == 1
+        report = json.loads(out)
+        assert report["verdicts"] == {key: False}
+        assert report["values"]["reason"] == (
+            "more than 200 divisible Nielsen paths within 80 edges")
+        if sub == "index":
+            assert report["values"]["implied_index"] == "-7"
 
     def test_whitehead_ideal_with_dot(self, h_file, tmp_path, capsys):
         dot_file = tmp_path / "iw.dot"
@@ -485,6 +509,20 @@ class TestSubcommands:
         import io
         monkeypatch.setattr("sys.stdin", io.StringIO(H_DOC))
         assert run(["check", "-"]) == 0
+
+    def test_byte_order_mark_is_dropped(self, tmp_path, capsys, monkeypatch):
+        import io
+        plain = (DOCS / "cubic.txt").read_bytes()
+        marked = tmp_path / "bom.txt"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain)
+        expected = run_capture(["check", str(DOCS / "cubic.txt"), "--json"],
+                               capsys)
+        assert expected[0] == 0
+        assert run_capture(["check", str(marked), "--json"],
+                           capsys) == expected
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
+            io.BytesIO(marked.read_bytes()), encoding="utf-8"))
+        assert run_capture(["check", "-", "--json"], capsys) == expected
 
     def test_undecodable_stdin_is_input_error(self, capsys, monkeypatch):
         # a C locale decodes stdin with surrogate escapes; the document

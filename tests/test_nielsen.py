@@ -132,7 +132,7 @@ class TestLegMatching:
             == [("d'", "h"), ("f", "c", "g'")]
         with pytest.raises(NielsenPathPresentError):
             nielsen.find_nielsen_paths(g, 40)
-        assert nielsen.is_fully_stable(g, 40) is False
+        assert nielsen.np_verdict(g, 40)[0] is False
 
 
 def eigenray(g, d, bound):
@@ -301,9 +301,9 @@ class TestBruteForce:
 
 class TestFullyStable:
     def test_three_valued(self, fib2, cubic6):
-        assert nielsen.is_fully_stable(cubic6, 30) is True
-        assert nielsen.is_fully_stable(fib2, 30) is False
-        assert nielsen.is_fully_stable(cubic6, 1) is None
+        assert nielsen.np_verdict(cubic6, 30)[0] is True
+        assert nielsen.np_verdict(fib2, 30)[0] is False
+        assert nielsen.np_verdict(cubic6, 1)[0] is None
 
 
 class TestAgeometricCertificate:

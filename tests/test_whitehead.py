@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from loneaxis.errors import (NielsenPathPresentError, PreconditionError,
-                             UnknownAtBoundError)
+from loneaxis.errors import NielsenPathPresentError, PreconditionError
 from loneaxis.graphs import GraphMap, MarkedGraph, power
+from loneaxis.isomorphism import canonical_form
 from loneaxis import traintrack, whitehead
 
 from conftest import cubic_map, dumbbell_instance, fib_map
@@ -97,7 +97,16 @@ class TestIdealWhitehead:
             whitehead.ideal_whitehead_graph(fib2, 30)
 
     def test_unknown_bound_rejected(self, cubic6):
-        with pytest.raises(UnknownAtBoundError):
+        with pytest.raises(PreconditionError, match="not exhaustive"):
+            whitehead.ideal_whitehead_graph(cubic6, 1)
+
+    def test_one_graph_per_map(self, cubic6):
+        iw = whitehead.ideal_whitehead_graph(cubic6, 30)
+        assert whitehead.ideal_whitehead_graph(cubic6, 40) is iw
+        assert canonical_form(iw) \
+            is canonical_form(whitehead.ideal_whitehead_graph(cubic6, 40))
+        # the verdict is read before the stored graph, at every bound
+        with pytest.raises(PreconditionError, match="not exhaustive"):
             whitehead.ideal_whitehead_graph(cubic6, 1)
 
     def test_two_principal_vertices_two_components(self):
