@@ -19,6 +19,10 @@ image of a ray, the turns a path crosses, and the union-find fold of the
 edge images that links every interior letter one at a time.  The recomposition of a fold sequence
 composes its move maps, which reproduces the decomposed map.
 
+The concatenation oracle lists the tight concatenations of given iNPs
+in the library's order, but maps each whole path letter by letter
+rather than joining two stored images at the junction.
+
 The labeling oracle tries every vertex permutation of a marked graph, so
 it finds every labeling that reaches a given encoding without the
 refinement or the automorphism pruning of the library's search.  The
@@ -32,10 +36,10 @@ import networkx as nx
 from networkx.algorithms.isomorphism import numerical_multiedge_match
 
 from loneaxis.errors import (InternalCheckError, InvalidMapError,
-                             PreconditionError)
+                             NielsenPathPresentError, PreconditionError)
 from loneaxis.graphs import base_label, compose
-from loneaxis.nielsen import (_canonical, _require_rotationless_tt,
-                              find_nielsen_paths)
+from loneaxis.nielsen import (_CONCAT_CAP, _canonical,
+                              _require_rotationless_tt, find_nielsen_paths)
 
 
 def rev_edge(e):
@@ -281,6 +285,41 @@ def checked_nielsen_paths(g, bound):
     assert mine == oracle, (f"Nielsen searches disagree: iterative "
                             f"{sorted(mine)} vs brute force {sorted(oracle)}")
     return report
+
+
+def concatenations(g, inps, max_len):
+    """Reference for `nielsen._concatenations`: the same LIFO walk over
+    tight concatenations of the iNPs and their reverses, each new one
+    checked by mapping its whole path letter by letter, with the same
+    cap and messages."""
+    pieces = sorted({p for q in inps for p in (q, rev_path(q))})
+    dom = g.domain
+    out = set()
+    frontier = [(p,) for p in pieces]
+    while frontier:
+        seq = frontier.pop()
+        total = sum(len(p) for p in seq)
+        for q in pieces:
+            if total + len(q) > max_len:
+                continue
+            if dom.term_vertex(seq[-1][-1]) != dom.init_vertex(q[0]):
+                continue
+            if rev_edge(seq[-1][-1]) == q[0]:
+                continue
+            new_seq = seq + (q,)
+            path = tuple(x for p in new_seq for x in p)
+            key = _canonical(path)
+            if key not in out:
+                if apply_path(g, path) != path:
+                    raise InternalCheckError(
+                        "tight concatenation of Nielsen paths must be fixed")
+                out.add(key)
+                if len(out) > _CONCAT_CAP:
+                    raise NielsenPathPresentError(
+                        f"more than {_CONCAT_CAP} divisible Nielsen paths "
+                        f"within {max_len} edges")
+            frontier.append(new_seq)
+    return sorted(out)
 
 
 def brute_force_labelings(graph, encoding):

@@ -5,8 +5,10 @@ import tracemalloc
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from loneaxis.errors import NielsenPathPresentError, PreconditionError
-from loneaxis.graphs import power, rev_edge, rev_path, rose_map
+from loneaxis.errors import (InternalCheckError, NielsenPathPresentError,
+                             PreconditionError)
+from loneaxis.graphs import (GraphMap, MarkedGraph, power, rev_edge,
+                             rev_path, rose_map)
 from loneaxis import axes, nielsen, traintrack
 
 from conftest import (cubic_map, defect_map, dumbbell_instance,
@@ -14,6 +16,7 @@ from conftest import (cubic_map, defect_map, dumbbell_instance,
                       random_positive_map, total_image_length)
 from oracles import (brute_force_nielsen_paths, checked_nielsen_paths,
                      concatenated_image, unpruned_nielsen_paths)
+from oracles import concatenations as oracle_concatenations
 
 
 @pytest.fixture(scope="module")
@@ -133,6 +136,108 @@ class TestLegMatching:
         with pytest.raises(NielsenPathPresentError):
             nielsen.find_nielsen_paths(g, 40)
         assert nielsen.np_verdict(g, 40)[0] is False
+
+
+def concatenation_outcome(concatenations, g, inps, max_len):
+    try:
+        return concatenations(g, inps, max_len)
+    except NielsenPathPresentError as ex:
+        return "capped", str(ex)
+
+
+def assert_concatenations_match_oracle(g, bound, inps=None):
+    """The library's divisible NPs of the iNPs at `bound` are the
+    oracle's list, or both hit the cap with the same message."""
+    if inps is None:
+        inps = nielsen._iterative_search(g, bound)
+    mine = concatenation_outcome(nielsen._concatenations, g, inps, 2 * bound)
+    assert mine == concatenation_outcome(oracle_concatenations, g, inps,
+                                         2 * bound), bound
+    return mine
+
+
+def first_map_with_inps(rank, seed, bound):
+    """Rotationless power and iNPs of the first random positive map, from
+    `seed` on, whose rotationless power carries an iNP within `bound`."""
+    for s in range(seed, seed + 2000):
+        g = random_positive_map(rank, random.Random(s))
+        try:
+            if traintrack.periodic_structure(g).rotationless_exponent > 3:
+                continue
+            grot, _ = axes.rotationless_power(g)
+            nielsen._require_rotationless_tt(grot)
+        except PreconditionError:
+            continue
+        inps = nielsen._iterative_search(grot, bound)
+        if inps:
+            return grot, inps
+    return None
+
+
+class TestConcatenations:
+    def test_matches_oracle_on_fib_at_every_bound(self):
+        grot, _ = axes.rotationless_power(fib_map())
+        for bound in range(1, 101):
+            divisible = assert_concatenations_match_oracle(grot, bound)
+        assert len(divisible) == 49
+
+    def test_matches_oracle_past_the_cap(self):
+        mine = assert_concatenations_match_oracle(eight_petal_map(), 40)
+        assert mine == ("capped", "more than 200 divisible Nielsen paths "
+                                  "within 80 edges")
+
+    def test_matches_oracle_on_corpus_maps_with_nielsen_paths(self, corpus):
+        ran = 0
+        for g in corpus:
+            grot, _ = axes.rotationless_power(g)
+            inps = nielsen._iterative_search(grot, 40)
+            if inps:
+                assert_concatenations_match_oracle(grot, 40, inps)
+                ran += 1
+        assert ran >= 3
+
+    @settings(max_examples=8, deadline=None)
+    @given(st.integers(2, 3), st.integers(0, 2**32 - 1), st.integers(2, 40))
+    def test_matches_oracle_on_random_maps_with_nielsen_paths(
+            self, rank, seed, bound):
+        found = first_map_with_inps(rank, seed, bound)
+        assume(found is not None)
+        grot, inps = found
+        assert_concatenations_match_oracle(grot, bound, inps)
+
+    def test_each_piece_is_mapped_once(self, monkeypatch):
+        # fib's one iNP and its reverse give 79 concatenations within 320
+        # edges; none of them is mapped whole
+        grot, _ = axes.rotationless_power(fib_map())
+        inps = nielsen._iterative_search(grot, 160)
+        mapped = []
+        apply_path = GraphMap.apply_path
+        monkeypatch.setattr(GraphMap, "apply_path", lambda self, path: (
+            mapped.append(path) or apply_path(self, path)))
+        assert len(nielsen._concatenations(grot, inps, 320)) == 79
+        assert sorted(mapped) == sorted(inps + [rev_path(p) for p in inps])
+
+    def test_images_cancel_across_the_junction(self):
+        # e -> efefe, f -> e'f'e' fixes the loops ef and fe though it fixes
+        # neither edge: three letters cancel where the two images meet
+        graph = MarkedGraph({"a": ("u", "u"), "b": ("v", "v"),
+                             "e": ("u", "v"), "f": ("v", "u")})
+        g = GraphMap(graph, graph, {"u": "u", "v": "v"},
+                     {"a": ("a",), "b": ("b",), "e": tuple("efefe"),
+                      "f": ("e'", "f'", "e'")})
+        for concatenations in (nielsen._concatenations, oracle_concatenations):
+            assert concatenations(g, [("e",), ("f",)], 2) \
+                == [("e", "f"), ("e'", "f'")]
+            with pytest.raises(InternalCheckError, match="must be fixed"):
+                concatenations(g, [("e",), ("f",)], 3)  # efe is not fixed
+
+    def test_a_piece_that_is_not_fixed_fails_the_check(self):
+        # a one-edge path beside fib's genuine iNP
+        grot, _ = axes.rotationless_power(fib_map())
+        inps = [("a'", "b'", "a", "b"), ("a",)]
+        for concatenations in (nielsen._concatenations, oracle_concatenations):
+            with pytest.raises(InternalCheckError, match="must be fixed"):
+                concatenations(grot, inps, 8)
 
 
 def eigenray(g, d, bound):
@@ -304,6 +409,17 @@ class TestFullyStable:
         assert nielsen.np_verdict(cubic6, 30)[0] is True
         assert nielsen.np_verdict(fib2, 30)[0] is False
         assert nielsen.np_verdict(cubic6, 1)[0] is None
+
+    def test_capped_verdict_is_stored(self, monkeypatch):
+        g = eight_petal_map()
+        verdict = nielsen.np_verdict(g, 40)
+        assert verdict[0] is False and verdict[2] is None
+
+        def search_again(g, bound):
+            raise AssertionError("the stored verdict was not read")
+
+        monkeypatch.setattr(nielsen, "_iterative_search", search_again)
+        assert nielsen.np_verdict(g, 40) == verdict
 
 
 class TestAgeometricCertificate:
