@@ -30,8 +30,8 @@ from itertools import chain, islice
 
 from .errors import (DecompositionError, InternalCheckError,
                      NotLoneAxisError, PreconditionError)
-from .graphs import (GraphMap, MarkedGraph, base_label, check_image,
-                     check_incidence, compose, power, rev_edge)
+from .graphs import (GraphMap, MarkedGraph, base_label, check_incidence,
+                     compose, power, rev_edge)
 from .isomorphism import canonical_encodings
 from . import nielsen, spectral, traintrack, whitehead
 
@@ -100,9 +100,9 @@ class FoldSequence:
 
     ``graphs[i]`` is the graph after the first i moves; ``residuals[i]``
     is the still-unfolded map graphs[i] -> codomain.  Both, like each
-    move's map, are built through the validating constructors on first
-    read.  Composing all move maps and tightening reproduces the input
-    edge-image-for-edge-image.
+    move's map, are built on first read through the public constructors,
+    which check every letter.  Composing all move maps and tightening
+    reproduces the input edge-image-for-edge-image.
     """
 
     def __init__(self, source_map, moves, graphs, residuals, fold_rounds):
@@ -171,9 +171,9 @@ class _State:
     end vertices of each direction, the directions at each vertex, the
     vertex map, the subdivision flags and the foldable turns at each
     vertex.  A move rewrites only the edges and vertices it touches, runs
-    the checks of the stage constructors that a move can break, and
-    records the stage, from which the graph, the residual and the move
-    map are built when read.
+    the graph checks it can break, reads no image letter (see
+    ``_commit``) and records the stage; the graph, the residual and the
+    move map are built from it, and validated, when read.
     """
 
     def __init__(self, g: GraphMap):
@@ -256,19 +256,17 @@ class _State:
         self.at[u].add(e)
         self.at[v].add(r)
 
-    def _commit(self, new_edges, changed, merge):
+    def _commit(self, changed, merge):
         """Check the table after a move, record the new stage, and return
         the builder of the move's map.
 
-        The graph checks run whole, as they cost O(V + E).  The image
-        checks run on the new edges only: every other edge keeps its image
-        over the same codomain, and fold() refuses to merge vertices with
-        distinct images, so its endpoints keep theirs.
+        The graph checks run whole, as they cost O(V + E).  No image is
+        re-read, as a move only reuses checked ones: a subdivided piece
+        is a slice of a checked tight path, and its new end vertex maps
+        where that slice ends; a folded edge keeps p1's checked image,
+        and fold() merges only vertices with equal images.
         """
         check_incidence(self.at, self.term, self.subdiv)
-        for e in sorted(new_edges):
-            u, v = self.ends[e]
-            check_image(self.cod, e, self.img[e], self.vmap[u], self.vmap[v])
         self.changes.append((changed, merge))
         self.stages.append((
             dict(self.ends), {e: self.img[e] for e in self.ends},
@@ -296,7 +294,7 @@ class _State:
         self.vmap[w] = self.cod.term_vertex(img[split - 1])
         self.subdiv.add(w)
         self.dirty.update((u, v, w))
-        build = self._commit((e1, e2), {e: (e1, e2)}, None)
+        build = self._commit({e: (e1, e2)}, None)
         move = FoldMove(SUBDIVIDE, build, edge=e, split_index=split)
         if d == e:
             return move, e1, rev_edge(e2)
@@ -347,7 +345,7 @@ class _State:
         self.dirty.update((v, t))
         changed = {b: (fresh,) if p == b else (rev_edge(fresh),)
                    for p, b in ((p1, b1), (p2, b2))}
-        build = self._commit((fresh,), changed, merge)
+        build = self._commit(changed, merge)
         return FoldMove(FOLD, build, turn=turn, prefix=prefix,
                         consumed=consumed)
 
@@ -489,9 +487,7 @@ def fold_line(g: GraphMap, periods: int, samples_per_period: int):
     """
     if periods < 0 or samples_per_period < 0:
         raise PreconditionError("periods and samples must be nonnegative")
-    verdict = traintrack.is_train_track(g)
-    if not verdict:
-        raise PreconditionError(f"not a train track map: {verdict}")
+    traintrack.require_train_track(g)
     if spectral.matrix_class(spectral.transition_matrix(g)) != spectral.PRIMITIVE:
         raise PreconditionError("fold lines need a primitive transition matrix")
     lam = spectral.dilatation(g)

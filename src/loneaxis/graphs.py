@@ -77,20 +77,6 @@ def check_incidence(at, term, subdivision_vertices):
                 f"subdivision flag for valence 2)")
 
 
-def check_image(codomain, e, img, start, end):
-    """Checks of the image of edge e: nonempty, a tight path in the
-    codomain, from vertex `start` to vertex `end`."""
-    if not img:
-        raise InvalidMapError(f"edge {e} has empty image")
-    if not codomain.is_path(img):
-        raise InvalidMapError(f"image of {e} is not a path: {img}")
-    if not is_tight(img):
-        raise InvalidMapError(f"image of {e} is not tight: {img}")
-    if (codomain.init_vertex(img[0]) != start
-            or codomain.term_vertex(img[-1]) != end):
-        raise InvalidMapError(f"image of {e} does not respect endpoints")
-
-
 class MarkedGraph:
     """Finite connected graph with oriented edge pairs and optional lengths.
 
@@ -281,10 +267,18 @@ class GraphMap(DerivedStore):
         for v, w in self.vertex_map.items():
             if w not in self.codomain.vertices:
                 raise InvalidMapError(f"vertex image {w} is not in the codomain")
-        for e in self.domain.pairs:
-            check_image(self.codomain, e, self._images[e],
-                        self.vertex_map[self.domain.init_vertex(e)],
-                        self.vertex_map[self.domain.term_vertex(e)])
+        dom, cod, vmap = self.domain, self.codomain, self.vertex_map
+        for e in dom.pairs:
+            img = self._images[e]
+            if not img:
+                raise InvalidMapError(f"edge {e} has empty image")
+            if not cod.is_path(img):
+                raise InvalidMapError(f"image of {e} is not a path: {img}")
+            if not is_tight(img):
+                raise InvalidMapError(f"image of {e} is not tight: {img}")
+            if (cod.init_vertex(img[0]), cod.term_vertex(img[-1])) != (
+                    vmap[dom.init_vertex(e)], vmap[dom.term_vertex(e)]):
+                raise InvalidMapError(f"image of {e} does not respect endpoints")
 
     def image(self, e):
         return self._images[e]

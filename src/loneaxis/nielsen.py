@@ -60,9 +60,7 @@ class NielsenPathReport:
 
 
 def _require_rotationless_tt(g):
-    verdict = traintrack.is_train_track(g)
-    if not verdict:
-        raise PreconditionError(f"not a train track map: {verdict}")
+    traintrack.require_train_track(g)
     if not traintrack.is_rotationless(g):
         raise PreconditionError(
             "map is not rotationless; raise it to its rotationless power first")

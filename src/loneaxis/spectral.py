@@ -147,10 +147,13 @@ def _mat_vec(a, x):
 def _power_iterate(a):
     """Dominant eigenpair of a nonnegative matrix by 1-norm power iteration.
 
-    Deterministic uniform start; returns (lam, x) with sum(x) = 1.
+    Deterministic uniform start; returns (lam, x) with sum(x) = 1.  It
+    also stops when the float iterate settles into an exact 2-cycle, as a
+    small gap allows; the caller's residual check still guards the result.
     """
     n = len(a)
     x = [1.0 / n] * n
+    x_old = None
     lam = 0.0
     for _ in range(_POWER_CAP):
         y = _mat_vec(a, x)
@@ -161,7 +164,9 @@ def _power_iterate(a):
         if (max(map(abs, map(float.__sub__, x_new, x))) <= _POWER_RTOL
                 and abs(s - lam) <= _POWER_RTOL * max(1.0, s)):
             return s, x_new
-        x, lam = x_new, s
+        if x_new == x_old:
+            return s, x_new
+        x_old, x, lam = x, x_new, s
     raise PreconditionError("power iteration did not converge")
 
 

@@ -144,6 +144,13 @@ def _is_train_track(g):
     return TrainTrackVerdict(True)
 
 
+def require_train_track(g: GraphMap):
+    """Raise PreconditionError unless g is a train track map."""
+    verdict = is_train_track(g)
+    if not verdict:
+        raise PreconditionError(f"not a train track map: {verdict}")
+
+
 def _orbit_period(start, step):
     """Period of `start` in the functional graph of `step`, or None."""
     seen = {start: 0}
@@ -187,9 +194,7 @@ def periodic_structure(g: GraphMap) -> PeriodicStructure:
 
 
 def _periodic_structure(g):
-    verdict = is_train_track(g)
-    if not verdict:
-        raise PreconditionError(f"not a train track map: {verdict}")
+    require_train_track(g)
     gs = gates(g)
     dmap = gs.direction_map
 
@@ -231,9 +236,7 @@ def taken_turns(g: GraphMap) -> frozenset:
 
 
 def _taken_turns(g):
-    verdict = is_train_track(g)
-    if not verdict:
-        raise PreconditionError(f"not a train track map: {verdict}")
+    require_train_track(g)
     if spectral.matrix_class(spectral.transition_matrix(g)) != spectral.PRIMITIVE:
         raise PreconditionError("transition matrix is not primitive")
     dmap = direction_map(g)
@@ -263,9 +266,7 @@ def gate_index_sum(g: GraphMap) -> Fraction:
     Valence-2 subdivision vertices are excluded; real vertices all have
     valence >= 3 and contribute.
     """
-    verdict = is_train_track(g)
-    if not verdict:
-        raise PreconditionError(f"not a train track map: {verdict}")
+    require_train_track(g)
     gs = gates(g)
     total = Fraction(0)
     for v in sorted(g.domain.vertices):

@@ -12,13 +12,14 @@ from hypothesis import assume, given, settings, strategies as st
 
 from loneaxis.errors import (DecompositionError, InvalidGraphError,
                              LoneAxisError, PreconditionError)
-from loneaxis.graphs import (GraphMap, MarkedGraph, compose, power, rose,
-                             rose_map)
+from loneaxis.graphs import (GraphMap, MarkedGraph, compose, power, rev_edge,
+                             rose, rose_map)
 from loneaxis import axes, spectral
 
 from conftest import (cubic_map, dumbbell_instance, eight_petal_map, fib_map,
                       identity_map, rank4_map)
 from oracles import recompose, tighten
+from test_kernels import rose_automorphisms
 
 
 def metrized(g):
@@ -209,6 +210,38 @@ def positive_automorphisms(draw):
 @given(positive_automorphisms())
 def test_stages_of_automorphisms(g):
     check_stages(g)
+
+
+def test_stages_of_a_self_fold():
+    # both orientations of the loop a start with a': the first round
+    # splits a in three and glues its outer pieces
+    g = rose_map({"a": "a' c' a", "b": "c b'", "c": "a' c'"})
+    seq = axes.stallings_decomposition(g)
+    self_folds = [seq.moves[i].turn for _, i, _ in seq.fold_rounds
+                  if seq.moves[i].turn[1] == rev_edge(seq.moves[i].turn[0])]
+    assert (len(seq.moves), self_folds) == (9, [("a", "a'")])
+    check_stages(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rose_automorphisms())
+def test_stages_of_automorphisms_with_inverses(g):
+    assume(folds_to_homeomorphism(g) is not None)
+    check_stages(g)
+
+
+def test_folds_read_no_image_letter(monkeypatch):
+    # the input's images are checked when it is built; a move only slices
+    # or reuses them, so the fold table checks no path
+    g = eight_petal_map()
+    calls = []
+
+    def is_path(self, path, _is_path=MarkedGraph.is_path):
+        calls.append(len(path))
+        return _is_path(self, path)
+    monkeypatch.setattr(MarkedGraph, "is_path", is_path)
+    assert len(axes.stallings_decomposition(g).moves) == 41
+    assert calls == []
 
 
 def homotopy_equivalence(g):

@@ -236,6 +236,22 @@ class TestAgainstNumpy:
             x.tolist(), rel=1e-7, abs=1e-12)
 
 
+def test_power_iteration_stops_on_a_float_two_cycle():
+    # a 9-cycle with two chords, |lam2 / lam1| ~ 0.9984: the float iterate
+    # settles into an exact 2-cycle whose points differ by more than the
+    # stopping tolerance, a draw of TestAgainstNumpy
+    n = 9
+    mat = [[0] * n for _ in range(n)]
+    for i in range(n):
+        mat[(i + 1) % n][i] = 1
+    mat[1][6] += 2
+    mat[5][6] += 4
+    tm = spectral.TransitionMatrix(tuple(f"e{i}" for i in range(n)), mat)
+    values = np.linalg.eigvals(np.array(mat, dtype=float))
+    assert spectral.pf_data(tm).lam == pytest.approx(max(values.real),
+                                                     rel=1e-9)
+
+
 @settings(max_examples=200, deadline=None)
 @given(cycle_matrices(st.integers(1, 6)))
 def test_exact_expanding_check_agrees_with_lam(mat):
