@@ -31,20 +31,13 @@ from itertools import chain, islice
 from .errors import (DecompositionError, InternalCheckError,
                      NotLoneAxisError, PreconditionError)
 from .graphs import (GraphMap, MarkedGraph, base_label, check_incidence,
-                     compose, power, rev_edge)
+                     compose, rev_edge)
 from .isomorphism import canonical_encodings
 from . import nielsen, spectral, traintrack, whitehead
 
 SUBDIVIDE = "subdivide"
 FOLD = "fold"
 HOMEOMORPHISM = "homeomorphism"
-
-_ROTATIONLESS_POWER_CAP = 60
-# total letters in the edge images of a rotationless power; the largest
-# one built in the tests and perfbench, the 42nd power of the rank-3 map
-# a->b, b->c, c->ab, has 396 655
-_ROTATIONLESS_LETTER_CAP = 10 ** 6
-
 
 class FoldMove:
     """One elementary move of a decomposition.
@@ -546,37 +539,6 @@ class LoneAxisReport:
         return f"LoneAxisReport({self.overall}, i={self.index_sum})"
 
 
-def rotationless_power(g: GraphMap):
-    """(g^k, k) for the rotationless exponent k of a train track map,
-    stored on g and shared by every caller.
-
-    Refuses, before building it, a power past the exponent cap or whose
-    edge images would hold more than a million letters in total.
-    """
-    return g._derived("rotationless_power", _rotationless_power)
-
-
-def _rotationless_power(g):
-    k = traintrack.periodic_structure(g).rotationless_exponent
-    if k > _ROTATIONLESS_POWER_CAP:
-        raise PreconditionError(
-            f"rotationless exponent {k} is beyond desk scale")
-    if k == 1:
-        return g, k
-    # 1^T M^k 1 in exact integers: the iterates of a train track map do
-    # not cancel, so this is the letter count of the power's edge images
-    columns = list(zip(*spectral.transition_matrix(g).mat))
-    lengths = [1] * len(columns)
-    for _ in range(k):
-        lengths = [sum(x * m for x, m in zip(lengths, col)) for col in columns]
-    letters = sum(lengths)
-    if letters > _ROTATIONLESS_LETTER_CAP:
-        raise PreconditionError(
-            f"rotationless power g^{k} has {letters} letters in its edge "
-            f"images, beyond desk scale")
-    return power(g, k), k
-
-
 def _fold_edge_images(g: GraphMap):
     """Stallings fold of the domain subdivided at every interior letter of
     the edge images, with union-find (Kapovich-Myasnikov 2002).
@@ -692,7 +654,7 @@ def lone_axis_decision(g: GraphMap, np_bound: int = nielsen.DEFAULT_BOUND,
             "[spectral] transition matrix is not primitive, so the map "
             "cannot represent a fully irreducible automorphism")
     g._derived("homotopy_equivalence", _is_homotopy_equivalence)
-    grot, exponent = rotationless_power(g)
+    grot, exponent = traintrack.rotationless_power(g)
     np_free, _, np_report = nielsen.np_verdict(grot, np_bound)
     common = dict(rank=r, train_track=True, primitive=True,
                   rotationless_exponent=exponent, np_bound=np_bound,
@@ -822,7 +784,7 @@ def axis_signature(g: GraphMap,
 
 def _signature(g):
     """The signature of a map already decided lone-axis (or conditional)."""
-    grot, exponent = rotationless_power(g)
+    grot, exponent = traintrack.rotationless_power(g)
     records = grot._derived("fold_records", _fold_records_of)
     primitive, reps = _primitive_rotation(records)
     return AxisSignature(primitive, spectral.dilatation(g), exponent, reps)

@@ -30,13 +30,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
 from .errors import (InternalCheckError, LoneAxisError, ParseError,
                      PreconditionError)
 from .graphs import GraphMap, MarkedGraph, is_tight
-from . import axes, nielsen, spectral, traintrack, whitehead
 
 SCHEMA_VERSION = "1"
 
@@ -252,18 +252,19 @@ def _frac(x):
     return None if x is None else str(x)
 
 
-def _report_skeleton(doc, subcommand):
+def _report_skeleton(doc, subcommand, nielsen_bound=None):
     return {
         "schema_version": SCHEMA_VERSION,
         "subcommand": subcommand,
         "input_name": doc.name,
         "verdicts": {},
         "values": {},
-        "bounds": {},
+        "bounds": {} if nielsen_bound is None else {"nielsen_bound": nielsen_bound},
     }
 
 
 def _cmd_check(doc, args):
+    from . import traintrack
     verdict = traintrack.is_train_track(doc.graph_map)
     report = _report_skeleton(doc, "check")
     report["verdicts"]["train_track"] = bool(verdict)
@@ -275,6 +276,7 @@ def _cmd_check(doc, args):
 
 
 def _cmd_spectral(doc, args):
+    from . import spectral
     g = doc.graph_map
     tm = spectral.transition_matrix(g)
     cls = spectral.matrix_class(tm)
@@ -292,6 +294,7 @@ def _cmd_spectral(doc, args):
 
 
 def _cmd_gates(doc, args):
+    from . import traintrack
     gs = traintrack.gates(doc.graph_map)
     report = _report_skeleton(doc, "gates")
     report["values"]["gates"] = {
@@ -303,7 +306,8 @@ def _cmd_gates(doc, args):
 
 
 def _cmd_pnp(doc, args):
-    g, exponent = axes.rotationless_power(doc.graph_map)
+    from . import nielsen, traintrack
+    g, exponent = traintrack.rotationless_power(doc.graph_map)
     free, reason, rep = nielsen.np_verdict(g, args.bound)
     report = _report_skeleton(doc, "pnp")
     report["bounds"]["search_bound"] = args.bound
@@ -321,10 +325,10 @@ def _cmd_pnp(doc, args):
 
 
 def _cmd_whitehead(doc, args):
-    g, exponent = axes.rotationless_power(doc.graph_map)
-    report = _report_skeleton(doc, "whitehead")
+    from . import nielsen, traintrack, whitehead
+    g, exponent = traintrack.rotationless_power(doc.graph_map)
+    report = _report_skeleton(doc, "whitehead", args.bound)
     report["values"]["rotationless_exponent"] = exponent
-    report["bounds"]["nielsen_bound"] = args.bound
     if args.flavor in ("local", "stable"):
         vertex = args.vertex or min(g.domain.vertices)
         if vertex not in g.domain.vertices:
@@ -353,10 +357,10 @@ def _cmd_whitehead(doc, args):
 
 
 def _cmd_index(doc, args):
-    g, exponent = axes.rotationless_power(doc.graph_map)
-    report = _report_skeleton(doc, "index")
+    from . import nielsen, traintrack, whitehead
+    g, exponent = traintrack.rotationless_power(doc.graph_map)
+    report = _report_skeleton(doc, "index", args.bound)
     report["values"]["rotationless_exponent"] = exponent
-    report["bounds"]["nielsen_bound"] = args.bound
     free, reason, _ = nielsen.np_verdict(g, args.bound)
     if not free:
         report["verdicts"]["index_defined"] = free
@@ -375,11 +379,11 @@ def _cmd_index(doc, args):
 
 
 def _cmd_lone_axis(doc, args):
+    from . import axes
     asserted = doc.fully_irreducible or args.assert_fully_irreducible
     rep = axes.lone_axis_decision(doc.graph_map, np_bound=args.bound,
                                   fully_irreducible_asserted=asserted)
-    report = _report_skeleton(doc, "lone-axis")
-    report["bounds"]["nielsen_bound"] = args.bound
+    report = _report_skeleton(doc, "lone-axis", args.bound)
     if rep.overall == "unknown":
         report["bounds"]["proven_leg_bound"] = rep.proven_leg_bound
     report["verdicts"]["overall"] = rep.overall
@@ -395,16 +399,12 @@ def _cmd_lone_axis(doc, args):
     if rep.index_list is not None:
         report["values"]["index_list"] = [_frac(e) for e in rep.index_list]
     report["values"]["fully_irreducible_asserted"] = asserted
-    if rep.overall in ("lone-axis", "conditional"):
-        code = EXIT_OK
-    elif rep.overall == "unknown":
-        code = EXIT_UNKNOWN
-    else:
-        code = EXIT_NEGATIVE
-    return report, code
+    return report, {"lone-axis": EXIT_OK, "conditional": EXIT_OK,
+                    "unknown": EXIT_UNKNOWN}.get(rep.overall, EXIT_NEGATIVE)
 
 
 def _cmd_fold_line(doc, args):
+    from . import axes
     line = axes.fold_line(doc.graph_map, args.periods, args.samples)
     report = _report_skeleton(doc, "fold-line")
     report["values"]["periods"] = args.periods
@@ -424,8 +424,8 @@ def _cmd_fold_line(doc, args):
 
 
 def _cmd_signature(doc, args):
-    report = _report_skeleton(doc, "signature")
-    report["bounds"]["nielsen_bound"] = args.bound
+    from . import axes
+    report = _report_skeleton(doc, "signature", args.bound)
     try:
         sig = axes.axis_signature(doc.graph_map, np_bound=args.bound)
     except (InternalCheckError, PreconditionError):
@@ -448,14 +448,14 @@ def _cmd_signature(doc, args):
 
 
 def _cmd_conjugate_power(doc, args):
+    from . import axes
     try:
         other = _read_document(args.other)
     except ParseError as ex:
         raise ParseError(ex.line, ex.message, path=args.other) from None
     verdict = axes.conjugate_power_check(doc.graph_map, other.graph_map,
                                          np_bound=args.bound)
-    report = _report_skeleton(doc, "conjugate-power")
-    report["bounds"]["nielsen_bound"] = args.bound
+    report = _report_skeleton(doc, "conjugate-power", args.bound)
     report["values"]["other_name"] = other.name
     report["verdicts"]["status"] = verdict.status
     report["values"]["detail"] = verdict.detail
@@ -545,33 +545,35 @@ def build_parser():
     add("spectral", "dilatation and eigenmetric")
     add("gates", "gates and illegal turns")
     add("pnp", "search for Nielsen paths",
-        **{"--bound": dict(type=int, default=nielsen.DEFAULT_BOUND,
-                           help="max edges per leg")})
+        **{"--bound": dict(type=int, default=None, help="max edges per leg")})
     add("whitehead", "Whitehead graphs",
         **{"--flavor": dict(choices=["local", "stable", "ideal"],
                             default="ideal"),
            "--vertex": dict(default=None),
            "--dot": dict(default=None, help="write DOT to this file"),
-           "--bound": dict(type=int, default=nielsen.DEFAULT_BOUND)})
+           "--bound": dict(type=int, default=None)})
     add("index", "index list and rotationless index",
-        **{"--bound": dict(type=int, default=nielsen.DEFAULT_BOUND)})
+        **{"--bound": dict(type=int, default=None)})
     add("lone-axis", "decide the unique-axis property",
         **{"--assert-fully-irreducible": dict(action="store_true"),
-           "--bound": dict(type=int, default=nielsen.DEFAULT_BOUND)})
+           "--bound": dict(type=int, default=None)})
     add("fold-line", "discretized periodic fold line",
         **{"--periods": dict(type=int, default=1),
            "--samples": dict(type=int, default=4),
            "--csv": dict(default=None, help="write step,edge,length rows")})
     add("signature", "canonical axis signature",
-        **{"--bound": dict(type=int, default=nielsen.DEFAULT_BOUND)})
+        **{"--bound": dict(type=int, default=None)})
     add("conjugate-power", "compare two maps for conjugate powers",
         **{"other": dict(help="second document"),
-           "--bound": dict(type=int, default=nielsen.DEFAULT_BOUND)})
+           "--bound": dict(type=int, default=None)})
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "bound", 0) is None:   # unset, so the parser needs no nielsen
+        from .nielsen import DEFAULT_BOUND
+        args.bound = DEFAULT_BOUND
     try:
         doc = _read_document(args.file)
         report, code = run_subcommand(args.command, args, doc)
@@ -582,11 +584,12 @@ def main(argv=None) -> int:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_INPUT
 
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        for line in _human_lines(report):
-            print(line)
+    try:
+        print(json.dumps(report, indent=2, sort_keys=True) if args.json
+              else "\n".join(_human_lines(report)), flush=True)
+    except BrokenPipeError:
+        # the reader left early (`| head`); keep the flush at exit quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

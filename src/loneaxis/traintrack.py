@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import islice
 
 from .errors import PreconditionError
-from .graphs import GraphMap, ReadOnlyDict, rev_edge
+from .graphs import GraphMap, ReadOnlyDict, power, rev_edge
 from . import spectral
 
 
@@ -218,6 +218,44 @@ def _periodic_structure(g):
         exponent = math.lcm(exponent, p)
     return PeriodicStructure(vertex_periods, direction_periods, principal,
                              exponent)
+
+
+_ROTATIONLESS_POWER_CAP = 60
+# total letters in the edge images of a rotationless power; the largest
+# one built in the tests and perfbench, the 42nd power of the rank-3 map
+# a->b, b->c, c->ab, has 396 655
+_ROTATIONLESS_LETTER_CAP = 10 ** 6
+
+
+def rotationless_power(g: GraphMap):
+    """(g^k, k) for the rotationless exponent k of a train track map,
+    stored on g and shared by every caller.
+
+    Refuses, before building it, a power past the exponent cap or whose
+    edge images would hold more than a million letters in total.
+    """
+    return g._derived("rotationless_power", _rotationless_power)
+
+
+def _rotationless_power(g):
+    k = periodic_structure(g).rotationless_exponent
+    if k > _ROTATIONLESS_POWER_CAP:
+        raise PreconditionError(
+            f"rotationless exponent {k} is beyond desk scale")
+    if k == 1:
+        return g, k
+    # 1^T M^k 1 in exact integers: the iterates of a train track map do
+    # not cancel, so this is the letter count of the power's edge images
+    columns = list(zip(*spectral.transition_matrix(g).mat))
+    lengths = [1] * len(columns)
+    for _ in range(k):
+        lengths = [sum(x * m for x, m in zip(lengths, col)) for col in columns]
+    letters = sum(lengths)
+    if letters > _ROTATIONLESS_LETTER_CAP:
+        raise PreconditionError(
+            f"rotationless power g^{k} has {letters} letters in its edge "
+            f"images, beyond desk scale")
+    return power(g, k), k
 
 
 def is_rotationless(g: GraphMap) -> bool:

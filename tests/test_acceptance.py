@@ -59,7 +59,7 @@ def test_criterion_3_index_inequality(corpus):
     for g in corpus:
         if traintrack.periodic_structure(g).rotationless_exponent > 6:
             continue
-        grot, _ = axes.rotationless_power(g)
+        grot, _ = traintrack.rotationless_power(g)
         if sum(len(grot.image(e)) for e in grot.domain.pairs) > 400:
             continue
         report = nielsen.find_nielsen_paths(grot, 16)
@@ -96,7 +96,7 @@ def test_criterion_4_worked_example_cubic():
     assert gs.gate_count("v0") == 5
     assert gs.illegal_turns == (frozenset(("a'", "c'")),)
 
-    grot, exponent = axes.rotationless_power(g)
+    grot, exponent = traintrack.rotationless_power(g)
     assert exponent == 6
 
     report = checked_nielsen_paths(grot, 6)
@@ -142,7 +142,7 @@ def test_criterion_5_worked_example_fib():
     assert abs(lam - (1 + math.sqrt(5)) / 2) < 1e-9
     assert abs(lam - 1.6180339887) <= 1e-9
 
-    grot, exponent = axes.rotationless_power(g)
+    grot, exponent = traintrack.rotationless_power(g)
     assert exponent == 2
     report = checked_nielsen_paths(grot, 8)
     assert ("a'", "b'", "a", "b") in {p.path for p in report.inps()}
@@ -260,7 +260,7 @@ def test_criterion_10_oracle_agreement(corpus, small_corpus):
             continue
         if traintrack.periodic_structure(g).rotationless_exponent > 2:
             continue
-        grot, _ = axes.rotationless_power(g)
+        grot, _ = traintrack.rotationless_power(g)
         if sum(len(grot.image(e)) for e in grot.domain.pairs) > 60:
             continue
         checked_nielsen_paths(grot, 8)

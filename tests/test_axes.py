@@ -191,11 +191,11 @@ class TestRotationlessPower:
     def test_letter_count_is_exact(self, monkeypatch):
         g = power(cubic_map(), 5)  # rotationless exponent 6: the 30th power
         letters = sum(len(power(cubic_map(), 30).image(e)) for e in "abc")
-        monkeypatch.setattr(axes, "_ROTATIONLESS_LETTER_CAP", letters)
-        assert axes.rotationless_power(g)[1] == 6
-        monkeypatch.setattr(axes, "_ROTATIONLESS_LETTER_CAP", letters - 1)
+        monkeypatch.setattr(traintrack, "_ROTATIONLESS_LETTER_CAP", letters)
+        assert traintrack.rotationless_power(g)[1] == 6
+        monkeypatch.setattr(traintrack, "_ROTATIONLESS_LETTER_CAP", letters - 1)
         with pytest.raises(PreconditionError, match=f"{letters} letters"):
-            axes.rotationless_power(power(cubic_map(), 5))
+            traintrack.rotationless_power(power(cubic_map(), 5))
 
 
 class TestAxisSignature:

@@ -52,7 +52,7 @@ def outcome(call, g):
 
 
 def grot(g):
-    return axes.rotationless_power(g)[0]
+    return traintrack.rotationless_power(g)[0]
 
 
 CALLS = {
@@ -65,7 +65,7 @@ CALLS = {
     "matrix_class": lambda g: spectral.matrix_class(spectral.transition_matrix(g)),
     "pf_data": lambda g: spectral.pf_data(spectral.transition_matrix(g)),
     "eigenmetric": spectral.eigenmetric,
-    "rotationless_power": axes.rotationless_power,
+    "rotationless_power": traintrack.rotationless_power,
     "find_nielsen_paths": lambda g: nielsen.find_nielsen_paths(grot(g)),
     "lone_axis_decision": axes.lone_axis_decision,
     "axis_signature": axes.axis_signature,
@@ -200,7 +200,7 @@ def test_failures_are_raised_again():
     g = runaway_map()
     for _ in range(2):
         with pytest.raises(PreconditionError, match="beyond desk scale"):
-            axes.rotationless_power(g)
+            traintrack.rotationless_power(g)
 
     g = eight_petal_map()
     for _ in range(2):

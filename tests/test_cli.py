@@ -491,8 +491,8 @@ class TestSubcommands:
         def broken(*args, **kwargs):
             raise InternalCheckError("searches disagree")
 
-        monkeypatch.setattr(cli.nielsen, "find_nielsen_paths", broken)
-        monkeypatch.setattr(cli.axes, "axis_signature", broken)
+        monkeypatch.setattr("loneaxis.nielsen.find_nielsen_paths", broken)
+        monkeypatch.setattr("loneaxis.axes.axis_signature", broken)
         assert run(["pnp", h_file]) == 4
         assert run(["signature", h_file]) == 4
 
@@ -504,6 +504,25 @@ class TestSubcommands:
              "--json"], capture_output=True, text=True, env=env, timeout=120)
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout)["verdicts"]["train_track"] is True
+
+    @pytest.mark.parametrize("argv, code", [
+        (["pnp", "fib.txt", "--bound", "400", "--json"], 0),
+        (["whitehead", "fib.txt"], 1)], ids=["json", "human"])
+    def test_closed_stdout_keeps_the_exit_code(self, argv, code):
+        # the reader of stdout is gone before the report is written, as
+        # with `| head -1`: no traceback, and the command's own exit code
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        argv = [str(DOCS / a) if a.endswith(".txt") else a for a in argv]
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "loneaxis", *argv], stdout=write_end,
+                stderr=subprocess.PIPE, text=True, timeout=120,
+                env=dict(os.environ, PYTHONPATH=src))
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (code, "")
 
     def test_stdin(self, capsys, monkeypatch):
         import io

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import loneaxis
-from loneaxis import axes, isomorphism
+from loneaxis import axes, isomorphism, traintrack
 from loneaxis.graphs import MarkedGraph, power
 from loneaxis.isomorphism import (canonical_encoding, canonical_form,
                                   canonical_turn_encoding)
@@ -321,7 +321,7 @@ def test_recorded_encodings(name):
     graphs, turns = stage_encodings(g)
     assert (len(graphs), digest(graphs), len(turns), digest(turns)) == own
     if rotationless is not None:
-        graphs, turns = stage_encodings(axes.rotationless_power(g)[0])
+        graphs, turns = stage_encodings(traintrack.rotationless_power(g)[0])
         assert (len(graphs), digest(graphs), len(turns), digest(turns)) == rotationless
         assert axes.axis_signature(g).records == CUBIC_RECORDS
 

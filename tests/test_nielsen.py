@@ -113,7 +113,7 @@ class TestLegMatching:
         fib_map(), cubic_map(), dumbbell_instance(), rank4_map(), rank5_map(),
     ], ids=["fib", "cubic", "dumbbell", "rank4", "rank5"])
     def test_matches_all_pairs_above_oracle_range(self, g):
-        grot, _ = axes.rotationless_power(g)
+        grot, _ = traintrack.rotationless_power(g)
         proven = nielsen.find_nielsen_paths(grot, 13).proven_leg_bound
         for bound in sorted({13, 40, proven}):
             mine = [p.path for p in nielsen.find_nielsen_paths(grot, bound).inps()]
@@ -124,7 +124,7 @@ class TestLegMatching:
     def test_matches_all_pairs_on_long_images(self):
         # edge images of up to 49 700 letters; the all-pairs reference
         # grows each ray with whole images, so it stays at the proven bound
-        grot, _ = axes.rotationless_power(defect_map())
+        grot, _ = traintrack.rotationless_power(defect_map())
         report = nielsen.find_nielsen_paths(grot, 3)
         assert report.proven_leg_bound == 3 and report.exhaustive
         assert [p.path for p in report.inps()] == all_pairs_inps(grot, 3)
@@ -164,7 +164,7 @@ def first_map_with_inps(rank, seed, bound):
         try:
             if traintrack.periodic_structure(g).rotationless_exponent > 3:
                 continue
-            grot, _ = axes.rotationless_power(g)
+            grot, _ = traintrack.rotationless_power(g)
             nielsen._require_rotationless_tt(grot)
         except PreconditionError:
             continue
@@ -176,7 +176,7 @@ def first_map_with_inps(rank, seed, bound):
 
 class TestConcatenations:
     def test_matches_oracle_on_fib_at_every_bound(self):
-        grot, _ = axes.rotationless_power(fib_map())
+        grot, _ = traintrack.rotationless_power(fib_map())
         for bound in range(1, 101):
             divisible = assert_concatenations_match_oracle(grot, bound)
         assert len(divisible) == 49
@@ -189,7 +189,7 @@ class TestConcatenations:
     def test_matches_oracle_on_corpus_maps_with_nielsen_paths(self, corpus):
         ran = 0
         for g in corpus:
-            grot, _ = axes.rotationless_power(g)
+            grot, _ = traintrack.rotationless_power(g)
             inps = nielsen._iterative_search(grot, 40)
             if inps:
                 assert_concatenations_match_oracle(grot, 40, inps)
@@ -208,7 +208,7 @@ class TestConcatenations:
     def test_each_piece_is_mapped_once(self, monkeypatch):
         # fib's one iNP and its reverse give 79 concatenations within 320
         # edges; none of them is mapped whole
-        grot, _ = axes.rotationless_power(fib_map())
+        grot, _ = traintrack.rotationless_power(fib_map())
         inps = nielsen._iterative_search(grot, 160)
         mapped = []
         apply_path = GraphMap.apply_path
@@ -233,7 +233,7 @@ class TestConcatenations:
 
     def test_a_piece_that_is_not_fixed_fails_the_check(self):
         # a one-edge path beside fib's genuine iNP
-        grot, _ = axes.rotationless_power(fib_map())
+        grot, _ = traintrack.rotationless_power(fib_map())
         inps = [("a'", "b'", "a", "b"), ("a",)]
         for concatenations in (nielsen._concatenations, oracle_concatenations):
             with pytest.raises(InternalCheckError, match="must be fixed"):
@@ -268,7 +268,7 @@ class TestTails:
         g = random_positive_map(rank, random.Random(seed))
         try:
             assume(traintrack.periodic_structure(g).rotationless_exponent <= 3)
-            grot, _ = axes.rotationless_power(g)
+            grot, _ = traintrack.rotationless_power(g)
             nielsen._require_rotationless_tt(grot)
         except PreconditionError:
             assume(False)
@@ -307,7 +307,7 @@ def test_search_memory_stays_within_the_edge_images():
 def test_short_search_copies_no_long_image():
     # defect's power has edge images of up to 49 700 letters; a search at
     # bound 4 reads them in place and copies at most 4 letters of each ray
-    grot, _ = axes.rotationless_power(defect_map())
+    grot, _ = traintrack.rotationless_power(defect_map())
     nielsen._require_rotationless_tt(grot)
     nielsen._proven_leg_bound(grot)
     tracemalloc.start()
@@ -341,7 +341,7 @@ class TestBruteForce:
         (eight_petal_map, 3), (rank5_map, 4),
     ], ids=["fib", "cubic", "dumbbell", "rank4", "eight", "rank5"])
     def test_pruning_exact_on_fixed_maps(self, make, top):
-        grot, _ = axes.rotationless_power(make())
+        grot, _ = traintrack.rotationless_power(make())
         assert_pruning_exact(grot, range(1, top + 1))
 
     def test_pruning_exact_on_fib_square_at_oracle_bound(self, fib2):
@@ -352,7 +352,7 @@ class TestBruteForce:
         for g in small_corpus:
             if traintrack.periodic_structure(g).rotationless_exponent > 2:
                 continue
-            grot, _ = axes.rotationless_power(g)
+            grot, _ = traintrack.rotationless_power(g)
             if total_image_length(grot) > 60:
                 continue
             assert_pruning_exact(grot, range(1, 5))
@@ -367,7 +367,7 @@ class TestBruteForce:
         g = random_positive_map(rank, random.Random(seed))
         try:
             assume(traintrack.periodic_structure(g).rotationless_exponent <= 3)
-            grot, _ = axes.rotationless_power(g)
+            grot, _ = traintrack.rotationless_power(g)
             assume(total_image_length(grot) <= 60)
             nielsen._require_rotationless_tt(grot)
         except PreconditionError:
@@ -394,7 +394,7 @@ class TestBruteForce:
                 continue
             if traintrack.periodic_structure(g).rotationless_exponent > 2:
                 continue
-            grot, _ = axes.rotationless_power(g)
+            grot, _ = traintrack.rotationless_power(g)
             if sum(len(grot.image(e)) for e in grot.domain.pairs) > 60:
                 continue
             checked_nielsen_paths(grot, 8)
