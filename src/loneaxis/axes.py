@@ -162,11 +162,11 @@ class _State:
 
     It holds the edge ends, the residual images of both orientations, the
     end vertices of each direction, the directions at each vertex, the
-    vertex map, the subdivision flags and the foldable turns at each
-    vertex.  A move rewrites only the edges and vertices it touches, runs
-    the graph checks it can break, reads no image letter (see
-    ``_commit``) and records the stage; the graph, the residual and the
-    move map are built from it, and validated, when read.
+    vertex map and the foldable turns at each vertex.  A move rewrites
+    only the edges and vertices it touches, runs the graph checks it can
+    break, reads no image letter (see ``_commit``) and records the stage;
+    the graph, the residual and the move map are built from it, and
+    validated, when read.
     """
 
     def __init__(self, g: GraphMap):
@@ -179,7 +179,6 @@ class _State:
         self.term = {e: dom.term_vertex(e) for e in dom.oriented}
         self.at = {v: set(dom.directions_at(v)) for v in dom.vertices}
         self.vmap = dict(g.vertex_map)
-        self.subdiv = set(dom.subdivision_vertices)
         # vertex -> (number of foldable turns, least one), for the
         # vertices not in `dirty`
         self.turns = {}
@@ -187,7 +186,7 @@ class _State:
         # per move: (images of the edges it changes, (merged, kept) vertex)
         self.changes = []
         # per stage after the first: (edge ends, images, vertex map,
-        # subdivision flags)
+        # vertices with fewer than three directions)
         self.stages = [None]
         self.counter = itertools.count(1)
         # fresh names must dodge everything ever seen, or a later fold
@@ -253,17 +252,20 @@ class _State:
         """Check the table after a move, record the new stage, and return
         the builder of the move's map.
 
-        The graph checks run whole, as they cost O(V + E).  No image is
-        re-read, as a move only reuses checked ones: a subdivided piece
-        is a slice of a checked tight path, and its new end vertex maps
-        where that slice ends; a folded edge keeps p1's checked image,
-        and fold() merges only vertices with equal images.
+        The graph checks run whole, as they cost O(V + E).  A move may
+        leave a vertex with one or two directions, so those are the
+        stage's subdivision vertices; only connectivity can fail.  No
+        image is re-read, as a move only reuses checked ones: a
+        subdivided piece is a slice of a checked tight path, and its new
+        end vertex maps where that slice ends; a folded edge keeps p1's
+        checked image, and fold() merges only vertices with equal images.
         """
-        check_incidence(self.at, self.term, self.subdiv)
+        flags = frozenset(v for v, ds in self.at.items() if len(ds) < 3)
+        check_incidence(self.at, self.term, flags)
         self.changes.append((changed, merge))
         self.stages.append((
             dict(self.ends), {e: self.img[e] for e in self.ends},
-            dict(self.vmap), frozenset(self.subdiv)))
+            dict(self.vmap), flags))
         return functools.partial(self._move_map, len(self.changes) - 1)
 
     def subdivide(self, d, keep):
@@ -285,7 +287,6 @@ class _State:
         self._add_edge(e1, u, w, img[:split], rimg[n - split:])
         self._add_edge(e2, w, v, img[split:], rimg[:n - split])
         self.vmap[w] = self.cod.term_vertex(img[split - 1])
-        self.subdiv.add(w)
         self.dirty.update((u, v, w))
         build = self._commit({e: (e1, e2)}, None)
         move = FoldMove(SUBDIVIDE, build, edge=e, split_index=split)
@@ -322,19 +323,11 @@ class _State:
                 self.ends[base_label(x)] = (t if a == gone else a,
                                             t if b == gone else b)
             del self.vmap[gone]
-            if gone in self.subdiv:
-                self.subdiv.remove(gone)
-                self.subdiv.add(t)
             self.turns.pop(gone, None)
             self.dirty.discard(gone)
             if v == gone:
                 v = t
         self._add_edge(fresh, v, t, img, rimg)
-        # transient valence-2 vertices are legal mid-decomposition; only
-        # v and t changed valence
-        for x in (v, t):
-            if len(self.at[x]) == 2:
-                self.subdiv.add(x)
         self.dirty.update((v, t))
         changed = {b: (fresh,) if p == b else (rev_edge(fresh),)
                    for p, b in ((p1, b1), (p2, b2))}
@@ -399,9 +392,6 @@ def stallings_decomposition(g: GraphMap) -> FoldSequence:
     table updated in place; the stage graphs, residuals and move maps are
     built only when read.
     """
-    for e in g.domain.pairs:
-        if not g.image(e):
-            raise PreconditionError("decomposition needs nonempty edge images")
     state = _State(g)
     moves = []
     fold_rounds = []
@@ -454,18 +444,14 @@ def _normalized(graph: MarkedGraph) -> MarkedGraph:
                               normalized=True)
 
 
-def _with_graphs(g: GraphMap, dom, cod) -> GraphMap:
-    return GraphMap(dom, cod, g.vertex_map, g.edge_images())
-
-
-def _stage_metric(seq: FoldSequence, i: int, lam) -> MarkedGraph:
-    """graphs[i] with each edge as long as its residual image in the
-    metric codomain, over the stretch lam, so that every fold is an
-    isometry and nothing drifts."""
+def _stage_metric(seq: FoldSequence, i: int, lengths, lam) -> MarkedGraph:
+    """graphs[i] with each edge as long as its residual image under the
+    codomain's edge lengths, over the stretch lam, so that every fold is
+    an isometry and nothing drifts."""
     graph, resid = seq.graphs[i], seq.residuals[i]
-    cod = resid.codomain
-    return graph.with_lengths({e: cod.path_length(resid.image(e)) / lam
-                               for e in graph.edge_ends})
+    return graph.with_lengths({
+        e: sum(lengths[base_label(x)] for x in resid.image(e)) / lam
+        for e in graph.edge_ends})
 
 
 def fold_line(g: GraphMap, periods: int, samples_per_period: int):
@@ -483,9 +469,11 @@ def fold_line(g: GraphMap, periods: int, samples_per_period: int):
     traintrack.require_train_track(g)
     if spectral.matrix_class(spectral.transition_matrix(g)) != spectral.PRIMITIVE:
         raise PreconditionError("fold lines need a primitive transition matrix")
+    g._derived("homotopy_equivalence", _is_homotopy_equivalence)
     lam = spectral.dilatation(g)
     graph0 = spectral.eigenmetric(g)
-    current = _with_graphs(g, graph0, graph0)
+    # the representative folded in each period, and its codomain's lengths
+    current, lengths = g, graph0.lengths
 
     line = [_normalized(graph0)]
     for period in range(1, periods + 1):
@@ -496,14 +484,13 @@ def fold_line(g: GraphMap, periods: int, samples_per_period: int):
             n = len(stages)
             picks = sorted({max(1, round(j * n / samples_per_period))
                             for j in range(1, samples_per_period + 1)})
-            line += [_normalized(_stage_metric(seq, stages[i - 1], lam))
+            line += [_normalized(_stage_metric(seq, stages[i - 1], lengths, lam))
                      for i in picks]
         if period < periods:
             # the representative at the end of the period starts the next
             last = len(seq.graphs) - 1
-            end_graph = _normalized(_stage_metric(seq, last, lam))
-            current = _with_graphs(seq.induced_representative(last),
-                                   end_graph, end_graph)
+            current = seq.induced_representative(last)
+            lengths = _normalized(_stage_metric(seq, last, lengths, lam)).lengths
     return line
 
 

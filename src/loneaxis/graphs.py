@@ -57,7 +57,8 @@ def is_tight(path) -> bool:
 
 def check_incidence(at, term, subdivision_vertices):
     """Connectivity and valence checks of a graph given by the directions
-    at each vertex and the terminal vertex of every oriented edge."""
+    at each vertex and the terminal vertex of every oriented edge: a
+    vertex needs three directions, or one or two when it is flagged."""
     seen = set()
     stack = [next(iter(at))]
     while stack:
@@ -71,7 +72,7 @@ def check_incidence(at, term, subdivision_vertices):
         raise InvalidGraphError("graph is not connected")
     for v in sorted(at):
         val = len(at[v])
-        if val < 2 or (val == 2 and v not in subdivision_vertices):
+        if not val or (val < 3 and v not in subdivision_vertices):
             raise InvalidGraphError(
                 f"vertex {v} has valence {val} (needs >= 3, or a "
                 f"subdivision flag for valence 2)")
@@ -83,7 +84,7 @@ class MarkedGraph:
     ``edge_ends`` maps each positive edge label to ``(init, term)``.
     Lengths, when present, are keyed by positive label and shared by the
     two orientations; they may be Fractions (exact input) or floats
-    (spectral output).  Vertices of valence 2 are only allowed when
+    (spectral output).  Vertices of valence 1 or 2 are only allowed when
     listed in ``subdivision_vertices`` -- they arise transiently while
     folding.  ``normalized`` asserts that the volume is 1.
     """

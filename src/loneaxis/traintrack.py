@@ -29,13 +29,7 @@ def direction_map(g: GraphMap):
 
 
 def _direction_map(g):
-    dm = {}
-    for e in g.domain.oriented:
-        img = g.image(e)
-        if not img:
-            raise PreconditionError(f"edge {e} has empty image")
-        dm[e] = img[0]
-    return ReadOnlyDict(dm)
+    return ReadOnlyDict({e: g.image(e)[0] for e in g.domain.oriented})
 
 
 def turns_crossed(path):

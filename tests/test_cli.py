@@ -487,6 +487,21 @@ class TestSubcommands:
                 "edges, the codomain 1 and 3\n")
             assert captured.out == ""
 
+    def test_fold_line_names_a_non_automorphism(self, tmp_path, capsys):
+        # fold-line reports the stored homotopy-equivalence check, like
+        # the other subcommands, not where folding stops
+        p = tmp_path / "collapse.doc"
+        p.write_text(serialize_document(GraphMapDocument(
+            rose_map({"a": "a b", "b": "a b"}))))
+        for sub in ("fold-line", "lone-axis", "signature"):
+            assert run([sub, str(p)]) == 3
+            captured = capsys.readouterr()
+            assert captured.err == (
+                "error: [homotopy-equivalence] the map does not represent an "
+                "automorphism: its folded edge images have 2 vertices and 2 "
+                "edges, the codomain 1 and 2\n")
+            assert captured.out == ""
+
     def test_internal_check_exit(self, h_file, monkeypatch):
         def broken(*args, **kwargs):
             raise InternalCheckError("searches disagree")

@@ -5,15 +5,16 @@ and records nothing; and the cost of a decision."""
 
 import hashlib
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from loneaxis.errors import (DecompositionError, InvalidGraphError,
-                             LoneAxisError, PreconditionError)
-from loneaxis.graphs import (GraphMap, MarkedGraph, compose, power, rev_edge,
-                             rose, rose_map)
+from loneaxis.errors import (DecompositionError, LoneAxisError,
+                             PreconditionError)
+from loneaxis.graphs import (GraphMap, MarkedGraph, base_label, compose, power,
+                             rev_edge, rose, rose_map)
 from loneaxis import axes, spectral
 
 from conftest import (cubic_map, dumbbell_instance, eight_petal_map, fib_map,
@@ -25,12 +26,13 @@ from test_kernels import rose_automorphisms
 def metrized(g):
     """g on its eigenmetric graph, as fold_line folds it."""
     graph = spectral.eigenmetric(g)
-    return axes._with_graphs(g, graph, graph)
+    return GraphMap(graph, graph, g.vertex_map, g.edge_images())
 
 
 def theta_map():
     """Two edges from u to a valence-2 vertex x with the same image, and a
-    loop at u: folding the two edges leaves x with valence 1."""
+    loop at u: folding the two edges leaves x with valence 1, and the
+    residual then maps both vertices onto v0."""
     graph = MarkedGraph({"a": ("u", "x"), "b": ("u", "x"), "c": ("u", "u")},
                         subdivision_vertices=("x",))
     return GraphMap(graph, rose(["y", "z"]), {"u": "v0", "x": "v0"},
@@ -142,19 +144,18 @@ def test_recorded_failures(images, kind, message):
     assert (type(info.value).__name__, str(info.value)) == (kind, message)
 
 
-def test_fold_to_valence_one_fails_the_graph_check():
+def test_fold_to_valence_one_ends_in_a_vertex_collapse():
     with pytest.raises(LoneAxisError) as info:
         axes.stallings_decomposition(theta_map())
     assert (type(info.value).__name__, str(info.value)) == (
-        "InvalidGraphError",
-        "vertex x has valence 1 (needs >= 3, or a subdivision flag for "
-        "valence 2)")
+        "DecompositionError", "residual is not a vertex bijection")
 
 
 def test_lengths_without_a_stretch_are_not_pushed_through():
     g = fib_map()
     graph = g.domain.with_lengths({"a": Fraction(1, 2), "b": Fraction(1, 2)})
-    seq = axes.stallings_decomposition(axes._with_graphs(g, graph, graph))
+    seq = axes.stallings_decomposition(
+        GraphMap(graph, graph, g.vertex_map, g.edge_images()))
     assert seq.to_json() == axes.stallings_decomposition(g).to_json()
     assert seq.graphs[0] is graph and seq.graphs[1].lengths is None
 
@@ -179,6 +180,11 @@ def check_stages(g):
         assert compose(seq.residuals[i + 1], move.map) == seq.residuals[i]
     assert seq.moves[-1].map is seq.residuals[-1]
     assert recompose(seq) == g
+    # the flags are derived: a stage's subdivision vertices are the ones
+    # with fewer than three directions
+    for graph in seq.graphs:
+        assert graph.subdivision_vertices == {
+            v for v in graph.vertices if graph.valence(v) < 3}
     for start, fold_idx, count in seq.fold_rounds:
         turns = brute_force_foldable_turns(seq.residuals[start])
         assert (count, seq.moves[fold_idx].turn) == (len(turns), turns[0])
@@ -226,8 +232,48 @@ def test_stages_of_a_self_fold():
 @settings(max_examples=60, deadline=None)
 @given(rose_automorphisms())
 def test_stages_of_automorphisms_with_inverses(g):
-    assume(folds_to_homeomorphism(g) is not None)
     check_stages(g)
+
+
+def seeded_rose_automorphisms(count, seed):
+    """Products of up to 12 moves x -> x y^{+-1}, x -> y^{+-1} x, x -> x'
+    and conjugation by y^{+-1}, on roses of rank 4 and 5."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        g = identity_map(rng.choice((4, 5)))
+        letters = g.domain.pairs
+        for _ in range(rng.randint(1, 12)):
+            x = rng.choice(letters)
+            y = rng.choice(letters) + rng.choice(("", "'"))
+            images = {l: (l,) for l in letters}
+            move = rng.randrange(3)
+            if move == 0:
+                images = {l: (y, l, rev_edge(y)) if l != base_label(y)
+                          else (l,) for l in letters}
+            elif base_label(y) == x:
+                images[x] = (rev_edge(x),)
+            else:
+                images[x] = (x, y) if move == 1 else (y, x)
+            g = compose(GraphMap(g.domain, g.domain, {"v0": "v0"}, images), g)
+        yield g
+
+
+def test_stages_of_seeded_automorphisms_with_conjugations():
+    # 69 of these maps leave a one-direction vertex at some stage
+    for g in seeded_rose_automorphisms(200, seed=20261020):
+        check_stages(g)
+
+
+def test_stage_flags_are_the_low_valence_vertices():
+    seq = axes.stallings_decomposition(
+        rose_map({"a": "b a b' a b'", "b": "b a b'"}))
+    flagged = [{v: graph.valence(v) for v in graph.subdivision_vertices}
+               for graph in seq.graphs]
+    assert flagged == [{v: graph.valence(v) for v in graph.vertices
+                        if graph.valence(v) < 3} for graph in seq.graphs]
+    # a one-direction vertex appears mid-decomposition and is folded away
+    assert 1 in itertools.chain.from_iterable(f.values() for f in flagged)
+    assert flagged[0] == flagged[-1] == {}
 
 
 def test_folds_read_no_image_letter(monkeypatch):
@@ -253,14 +299,11 @@ def homotopy_equivalence(g):
 
 
 def folds_to_homeomorphism(g):
-    """The fold engine's outcome, or None where it hits the valence-1
-    defect of test_automorphism_composed_with_a_conjugation_folds."""
+    """Whether the fold engine ends in a homeomorphism."""
     try:
         axes.stallings_decomposition(g)
     except DecompositionError:
         return False
-    except InvalidGraphError:
-        return None
     return True
 
 
@@ -310,28 +353,21 @@ def test_check_names_its_witness(g, witness):
         f"automorphism: {witness}")
 
 
-def test_check_accepts_an_automorphism_the_fold_engine_rejects():
-    g = rose_map({"a": "b a b' a b'", "b": "b a b'"})
-    assert folds_to_homeomorphism(g) is None
-    assert homotopy_equivalence(g) is True
-
-
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(positive_automorphisms(), rose_maps()))
 def test_check_agrees_with_the_fold_engine(g):
-    folds = folds_to_homeomorphism(g)
-    assume(folds is not None)
-    assert (homotopy_equivalence(g) is True) == folds
+    assert (homotopy_equivalence(g) is True) == folds_to_homeomorphism(g)
 
 
-@pytest.mark.xfail(strict=True, raises=InvalidGraphError,
-                   reason="folding leaves a valence-1 vertex, which is "
-                          "not pruned")
 def test_automorphism_composed_with_a_conjugation_folds():
     # the automorphism a -> a b' a, b -> a followed by conjugation by b;
-    # a fold leaves the vertex with a single direction
-    axes.stallings_decomposition(rose_map({"a": "b a b' a b'",
-                                           "b": "b a b'"}))
+    # a fold leaves the vertex with a single direction, and both the fold
+    # engine and the check accept the map
+    g = rose_map({"a": "b a b' a b'", "b": "b a b'"})
+    seq = axes.stallings_decomposition(g)
+    assert seq.moves[-1].kind == axes.HOMEOMORPHISM
+    assert recompose(seq) == g
+    assert homotopy_equivalence(g) is True
 
 
 def test_decision_builds_no_object_per_move(monkeypatch):

@@ -95,6 +95,15 @@ class TestValidation:
         with pytest.raises(InvalidGraphError):
             MarkedGraph({"a": ("u", "v"), "b": ("v", "v")})
 
+    def test_valence_one_allowed_when_flagged(self):
+        # a fold may leave a vertex with one direction mid-decomposition
+        with pytest.raises(InvalidGraphError, match="vertex u has valence 1"):
+            MarkedGraph({"a": ("u", "v"), "b": ("v", "v")},
+                        subdivision_vertices=("v",))
+        ok = MarkedGraph({"a": ("u", "v"), "b": ("v", "v")},
+                         subdivision_vertices=("u",))
+        assert (ok.valence("u"), ok.rank()) == (1, 1)
+
     def test_valence_two_needs_flag(self):
         with pytest.raises(InvalidGraphError):
             MarkedGraph({"a": ("u", "v"), "b": ("v", "u")})
