@@ -23,8 +23,7 @@ _EXPORTS = {
         pf_data transition_matrix""",
     "traintrack": """GateStructure PeriodicStructure direction_map gate_index_sum
         gates is_rotationless is_train_track periodic_structure taken_turns""",
-    "nielsen": """NielsenPathReport ageometric_certificate find_nielsen_paths
-        np_verdict""",
+    "nielsen": "NielsenPathReport find_nielsen_paths np_verdict",
     "whitehead": """IndexReport WhiteheadGraph cut_vertices ideal_whitehead_graph
         index_report local_whitehead_graph stable_whitehead_graph to_dot
         whitehead_isomorphic""",

@@ -30,8 +30,8 @@ from itertools import chain, islice
 
 from .errors import (DecompositionError, InternalCheckError,
                      NotLoneAxisError, PreconditionError)
-from .graphs import (GraphMap, MarkedGraph, base_label, check_incidence,
-                     compose, rev_edge)
+from .graphs import (GraphMap, MarkedGraph, ReadOnlyAttributes, base_label,
+                     check_incidence, compose, rev_edge)
 from .isomorphism import canonical_encodings
 from . import nielsen, spectral, traintrack, whitehead
 
@@ -494,33 +494,28 @@ def fold_line(g: GraphMap, periods: int, samples_per_period: int):
     return line
 
 
-class LoneAxisReport:
+class LoneAxisReport(ReadOnlyAttributes):
     """Stage verdicts feeding the unique-axis decision.
 
     ``overall`` is one of lone-axis / conditional / not-lone-axis /
     unknown, where conditional means both conditions hold but full
     irreducibility was not asserted by the caller.  ``proven_leg_bound``
-    is the Nielsen search bound that settles an unknown verdict.
+    is the Nielsen search bound that settles an unknown verdict.  The
+    report is stored on the map and shared, so it is read-only.
     """
 
+    _REQUIRED = ("rank", "train_track", "primitive", "rotationless_exponent",
+                 "np_bound", "proven_leg_bound", "np_free",
+                 "fully_irreducible_asserted", "overall")
+    _OPTIONAL = ("index_sum", "index_list", "index_condition",
+                 "cut_vertex_condition", "unique_illegal_turn", "ideal_graph")
+
     def __init__(self, **fields):
-        self.rank = fields.pop("rank")
-        self.train_track = fields.pop("train_track")
-        self.primitive = fields.pop("primitive")
-        self.rotationless_exponent = fields.pop("rotationless_exponent")
-        self.np_bound = fields.pop("np_bound")
-        self.proven_leg_bound = fields.pop("proven_leg_bound")
-        self.np_free = fields.pop("np_free")
-        self.index_sum = fields.pop("index_sum", None)
-        self.index_list = fields.pop("index_list", None)
-        self.index_condition = fields.pop("index_condition", None)
-        self.cut_vertex_condition = fields.pop("cut_vertex_condition", None)
-        self.unique_illegal_turn = fields.pop("unique_illegal_turn", None)
-        self.ideal_graph = fields.pop("ideal_graph", None)
-        self.fully_irreducible_asserted = fields.pop("fully_irreducible_asserted")
-        self.overall = fields.pop("overall")
+        values = {name: fields.pop(name) for name in self._REQUIRED}
+        values.update((name, fields.pop(name, None)) for name in self._OPTIONAL)
         if fields:
             raise TypeError(f"unknown report fields {sorted(fields)}")
+        vars(self).update(values)
 
     def __repr__(self):
         return f"LoneAxisReport({self.overall}, i={self.index_sum})"
@@ -628,8 +623,14 @@ def lone_axis_decision(g: GraphMap, np_bound: int = nielsen.DEFAULT_BOUND,
     conditions: rotationless index equal to 3/2 - r, and no cut vertex
     in any component of the ideal Whitehead graph.  Full irreducibility
     is the caller's assertion; without it a positive answer is reported
-    as conditional.
+    as conditional.  The report is stored on g per bound and assertion.
     """
+    asserted = bool(fully_irreducible_asserted)
+    return g._derived(("lone_axis", np_bound, asserted),
+                      lambda g: _lone_axis_decision(g, np_bound, asserted))
+
+
+def _lone_axis_decision(g, np_bound, fully_irreducible_asserted):
     r = g.domain.rank()
     if r < 2:
         raise PreconditionError("[rank] lone axis analysis needs rank >= 2")
@@ -646,7 +647,7 @@ def lone_axis_decision(g: GraphMap, np_bound: int = nielsen.DEFAULT_BOUND,
     common = dict(rank=r, train_track=True, primitive=True,
                   rotationless_exponent=exponent, np_bound=np_bound,
                   proven_leg_bound=np_report and np_report.proven_leg_bound,
-                  fully_irreducible_asserted=bool(fully_irreducible_asserted))
+                  fully_irreducible_asserted=fully_irreducible_asserted)
 
     if np_free is False:
         # NPs force the geometric/parageometric index 1 - r, which can
@@ -683,7 +684,7 @@ def lone_axis_decision(g: GraphMap, np_bound: int = nielsen.DEFAULT_BOUND,
                           ideal_graph=iw, overall=overall, **common)
 
 
-class AxisSignature:
+class AxisSignature(ReadOnlyAttributes):
     """Canonical primitive cyclic word of fold records.
 
     Each record is the isomorphism class of the graph entering a fold
@@ -692,14 +693,14 @@ class AxisSignature:
     the signature of a power agrees with the signature of the base map.
     The rotationless power g^e folds through ``repetitions`` primitive
     periods, so g itself moves tau = repetitions / rotationless_exponent
-    periods along the line; ``lam`` keeps the dilatation of g.
+    periods along the line; ``lam`` keeps the dilatation of g.  The
+    signature is stored on g and shared, so it is read-only.
     """
 
     def __init__(self, records, lam, rotationless_exponent, repetitions):
-        self.records = tuple(records)
-        self.lam = float(lam)
-        self.rotationless_exponent = int(rotationless_exponent)
-        self.repetitions = int(repetitions)
+        vars(self).update(records=tuple(records), lam=float(lam),
+                          rotationless_exponent=int(rotationless_exponent),
+                          repetitions=int(repetitions))
 
     @property
     def period(self):
@@ -770,7 +771,12 @@ def axis_signature(g: GraphMap,
 
 
 def _signature(g):
-    """The signature of a map already decided lone-axis (or conditional)."""
+    """The signature of a map already decided lone-axis (or conditional),
+    stored on g."""
+    return g._derived("axis_signature", _signature_of)
+
+
+def _signature_of(g):
     grot, exponent = traintrack.rotationless_power(g)
     records = grot._derived("fold_records", _fold_records_of)
     primitive, reps = _primitive_rotation(records)

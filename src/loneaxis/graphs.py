@@ -237,6 +237,13 @@ class ReadOnlyDict(dict):
         return type(self), (dict(self),)
 
 
+class ReadOnlyAttributes:
+    """Base of a result shared by every caller: its attributes refuse
+    assignment and deletion, so ``__init__`` sets them in ``vars(self)``."""
+
+    __setattr__ = __delattr__ = ReadOnlyDict._refuse
+
+
 class GraphMap(DerivedStore):
     """Topological representative g: domain -> codomain.
 

@@ -8,13 +8,15 @@ the ray swept out by iterating the map on a fixed direction.  The map
 sends a leg R[:i] to R[:i] followed by a tail of the same ray, and two
 legs that meet at a tight turn degenerating in one step form an NP
 exactly when their tails agree, so the search matches legs by tail.
+A tail is what the images of the two legs share at their ends, which
+bounded cancellation limits, so the legs are read only up to a cap that
+no indivisible NP can pass, whatever bound is asked.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from fractions import Fraction
-from itertools import chain, combinations, islice
+from itertools import chain, combinations, islice, takewhile
 from operator import eq
 
 from .errors import (InternalCheckError, NielsenPathPresentError,
@@ -39,10 +41,13 @@ class NielsenPath:
 class NielsenPathReport:
     """Outcome of a bounded Nielsen path search.
 
-    ``paths`` lists every NP found, canonically oriented and sorted;
-    ``exhaustive`` means the proven leg bound lies within the searched
-    bound, so an empty list certifies NP-freeness (concatenations of
-    indivisible paths are only enumerated up to twice the bound).
+    ``paths`` lists every NP found with legs of at most ``search_bound``
+    edges, the requested bound, canonically oriented and sorted; the legs
+    are read up to min(bound, cap), where no iNP has a longer leg than the
+    cap (`_leg_cap`).  ``exhaustive`` means the proven leg bound lies
+    within the requested bound, so an empty list certifies NP-freeness
+    (concatenations of indivisible paths are only enumerated up to twice
+    the bound).
     """
 
     def __init__(self, paths, search_bound, exhaustive, proven_leg_bound):
@@ -97,7 +102,8 @@ def _canonical(path):
 
 
 def _iterative_search(g, bound):
-    """All indivisible NPs with legs of at most `bound` edges.
+    """All indivisible NPs with legs of at most `bound` edges; the caller
+    passes min(bound, cap), as no iNP has a leg past `_leg_cap`.
 
     A leg is a prefix R[:i] of the eigenray R at a fixed direction, and
     g(R[:i]) = R[:i] . tau(i) with tail tau(i) = R[i:n(i)], where n(i) is
@@ -145,21 +151,120 @@ def _iterative_search(g, bound):
     return sorted(found)
 
 
+def _common_end(a, p, b, q):
+    """Length of the longest common end of a[:p] and b[:q].  Blocks that
+    double up to 1024 letters are compared as slices, so a long match runs
+    in C and copies at most two blocks at a time."""
+    c, n, k = 0, min(p, q), 2
+    while c < n:
+        k = min(2 * k, 1024, n - c)
+        x, y = a[p - c - k:p - c], b[q - c - k:q - c]
+        if x != y:
+            return c + sum(takewhile(bool, map(eq, reversed(x), reversed(y))))
+        c += k
+    return c
+
+
+def _cancellation_bound(g):
+    """The most letters that g(alpha) and g(beta) can share at their ends,
+    over legal paths alpha and beta whose last edges differ and whose
+    junction degenerates in one step; None when no bound shows.
+
+    The ends are matched backwards, image by image.  A state (z, p, w, q)
+    has the first p letters of g(z) and the first q letters of g(w) still
+    unmatched; once one is used up, its side goes on with each legal
+    predecessor of its edge whose image ends in the letter the other side
+    needs next.  Bounded cancellation (Cooper 1987) makes the states a
+    finite acyclic graph for a homotopy equivalence, and the bound is its
+    longest path.  A cycle, or two sides that go on with one edge, would
+    let the ends agree without limit; then there is no bound.
+    """
+    dom = g.domain
+    gate_of = traintrack.gates(g).gate_of
+    preds = {w: [rev_edge(d) for d in dom.directions_at(dom.init_vertex(w))
+                 if gate_of[d] != gate_of[w]] for w in dom.oriented}
+    size = {e: len(g.image(e)) for e in dom.oriented}
+    roots = [(x, size[x], y, size[y]) for x, y in combinations(dom.oriented, 2)
+             if g.image(x)[-1] == g.image(y)[-1]]
+    value, expanded, on_path = {}, {}, set()
+    todo = [(state, False) for state in roots]
+    while todo:
+        state, done = todo.pop()
+        if done:
+            c, nexts = expanded[state]
+            value[state] = c + max(map(value.__getitem__, nexts), default=0)
+            on_path.discard(state)
+            continue
+        if state in value:
+            continue
+        if state in on_path:
+            return None
+        z, p, w, q = state
+        c = _common_end(g.image(z), p, g.image(w), q)
+        nexts = []
+        if c == min(p, q):
+            p, q = p - c, q - c
+            for z2 in preds[z] if p == 0 else (z,):
+                for w2 in preds[w] if q == 0 else (w,):
+                    if p == q == 0 and z2 == w2:
+                        return None
+                    p2, q2 = p or size[z2], q or size[w2]
+                    # a state whose ends differ adds no letter: skip it
+                    if g.image(z2)[p2 - 1] == g.image(w2)[q2 - 1]:
+                        nexts.append((z2, p2, w2, q2))
+        expanded[state] = c, nexts
+        on_path.add(state)
+        todo.append((state, True))
+        todo += ((s, False) for s in nexts)
+    return max(map(value.__getitem__, roots), default=0)
+
+
+def _leg_cap(g):
+    """The longest leg an indivisible NP of g can have, in edges, or None
+    when no cap shows.
+
+    The legs R_a[:i] and R_b[:j] of an iNP share their tail, and g(R_a[:i])
+    = R_a[:i] . tau ends in the same tau as g(R_b[:j]), so the tail has at
+    most `_cancellation_bound` letters.  The tail length n(i) - i never
+    falls as i grows, so each ray is walked, a letter at a time, until its
+    tail passes that bound.  Stored on g.
+    """
+    most = _cancellation_bound(g)
+    if most is None:
+        return None
+    cap = 1
+    for d in _fixed_directions(g):
+        ray, n = [d], [0]
+        for i, e in enumerate(ray, 1):
+            n.append(n[-1] + len(g.image(e)))
+            if n[i] - i > most:
+                break
+            cap = max(cap, i)
+            # R[:n(i)] = g(R[:i]) with n(i) > i: letter i lies in the
+            # image of the ray edge R[k] with n(k) <= i < n(k+1)
+            k = bisect_right(n, i) - 1
+            ray.append(g.image(ray[k])[i - n[k]])
+    return cap
+
+
 def _concatenations(g, inps, max_len):
     """Divisible NPs: tight concatenations of indivisible ones.
 
     Free reduction is unique, so g#(path . q) = [g#(path) g#(q)]: each
     piece is mapped once, and a candidate's image joins its path's image
     to the piece's, cancelling only where they meet, as `apply_path`
-    does.  Each check is then linear in the letters it lists.
+    does.  Each candidate carries its reverse, rev(path . q) =
+    rev(q) . rev(path), so its canonical key is a comparison of two
+    joined tuples.  Each check is then linear in the letters it lists.
     """
     pieces = sorted({p for q in inps for p in (q, rev_path(q))})
     images = {q: g.apply_path(q) for q in pieces}
+    revs = {q: rev_path(q) for q in pieces}
     dom = g.domain
     out = set()
-    frontier = [(p, images[p]) for p in pieces]
+    frontier = [(p, revs[p], images[p]) for p in pieces]
     while frontier:
-        path, image = frontier.pop()
+        path, rpath, image = frontier.pop()
         for q in pieces:
             if len(path) + len(q) > max_len:
                 continue
@@ -167,12 +272,12 @@ def _concatenations(g, inps, max_len):
                 continue
             if rev_edge(path[-1]) == q[0]:
                 continue  # concatenation would not be tight
-            new, img = path + q, images[q]
+            new, rnew, img = path + q, revs[q] + rpath, images[q]
             c, n = 0, min(len(image), len(img))
             while c < n and image[-1 - c] == rev_edge(img[c]):
                 c += 1
             new_image = image[:len(image) - c] + img[c:]
-            key = _canonical(new)
+            key = new if new <= rnew else rnew
             if key not in out:
                 if new_image != new:
                     raise InternalCheckError(
@@ -183,7 +288,7 @@ def _concatenations(g, inps, max_len):
                     raise NielsenPathPresentError(
                         f"more than {_CONCAT_CAP} divisible Nielsen paths "
                         f"within {max_len} edges")
-            frontier.append((new, new_image))
+            frontier.append((new, rnew, new_image))
     return sorted(out)
 
 
@@ -194,7 +299,9 @@ def _proven_leg_bound(g):
     prefix no longer than the longest edge image, so
     L <= lam * max_len / (lam - 1); dividing by the shortest edge
     converts length to an edge count.  The caller has checked that g
-    is irreducible and expanding.
+    is irreducible and expanding.  The premise fails when the tail spans
+    more than one edge image, and so does the bound: see `_leg_cap`,
+    which the search reads instead.
     """
     pf = spectral.pf_data(spectral.transition_matrix(g))
     # the search does not use the eigenmetric; building it runs the
@@ -211,9 +318,12 @@ def find_nielsen_paths(g: GraphMap, bound: int = DEFAULT_BOUND) -> NielsenPathRe
     """Search for Nielsen paths with legs of at most `bound` edges.
 
     Indivisible NPs are found by matching eigenray legs whose image
-    tails agree (see `_iterative_search`); divisible ones are their
-    tight concatenations of up to twice the bound.  The report is
-    exhaustive when the proven leg bound fits under the requested bound.
+    tails agree (see `_iterative_search`), read to min(bound, cap) edges
+    (`_leg_cap`) and stored on g, so every bound at or above the cap
+    shares one search; divisible ones are their tight concatenations of
+    up to twice the requested bound, which ``search_bound`` reports.  The
+    report is exhaustive when the proven leg bound fits under the
+    requested bound.
     Raises NielsenPathPresentError when the concatenations are too many
     to list.  The report is stored on g per bound and shared by every
     caller.
@@ -227,7 +337,11 @@ def find_nielsen_paths(g: GraphMap, bound: int = DEFAULT_BOUND) -> NielsenPathRe
 def _find_nielsen_paths(g, bound):
     _require_rotationless_tt(g)
     proven = _proven_leg_bound(g)
-    inps = _iterative_search(g, bound)
+    # no iNP has a leg past the cap, so every bound at or above it shares
+    # one search, stored on g
+    cap = g._derived("leg_cap", _leg_cap)
+    legs = bound if cap is None else min(bound, cap)
+    inps = g._derived(("inps", legs), lambda g: _iterative_search(g, legs))
     divisible = _concatenations(g, inps, 2 * bound)
     paths = [NielsenPath(p, True) for p in inps]
     paths += [NielsenPath(p, False) for p in divisible]
@@ -262,29 +376,3 @@ def _np_verdict(g, bound):
                       f"exhaustive (proven bound {report.proven_leg_bound}); "
                       f"raise it"), report
     return True, None, report
-
-
-def ageometric_certificate(g: GraphMap, bound: int = DEFAULT_BOUND) -> str:
-    """'ageometric' / 'not-ageometric' / 'unknown' for the automorphism
-    represented by g (assumed fully irreducible by the caller).
-
-    Ageometric means the fully stable representative is NP-free.  When
-    certifying ageometric, cross-checks that the gate index over
-    principal vertices stays strictly above 1 - rank, the value forced
-    on geometric and parageometric automorphisms.
-    """
-    if spectral.matrix_class(spectral.transition_matrix(g)) != spectral.PRIMITIVE:
-        raise PreconditionError("transition matrix is not primitive")
-    free = np_verdict(g, bound)[0]
-    if not free:
-        return "unknown" if free is None else "not-ageometric"
-    gs = traintrack.gates(g)
-    ps = traintrack.periodic_structure(g)
-    index_sum = sum((1 - Fraction(gs.gate_count(v), 2)
-                     for v in ps.principal_vertices), Fraction(0))
-    r = g.domain.rank()
-    if index_sum <= 1 - r:
-        raise InternalCheckError(
-            f"NP-free representative with index {index_sum} <= 1 - r; "
-            f"ageometric characterization violated")
-    return "ageometric"

@@ -234,7 +234,10 @@ def index_entries_from_gate_counts(counts):
 
 def index_report(g: GraphMap, bound: int = nielsen.DEFAULT_BOUND) -> IndexReport:
     """Rotationless index data for an NP-free rotationless representative;
-    refuses as `ideal_whitehead_graph` does."""
+    refuses as `ideal_whitehead_graph` does.  An NP-free representative
+    is ageometric, so its index sum must lie strictly above 1 - r, the
+    value forced on geometric and parageometric automorphisms; a sum at
+    or below it raises InternalCheckError."""
     _require_np_free(g, bound)
     ps = traintrack.periodic_structure(g)
     gs = traintrack.gates(g)
@@ -246,6 +249,10 @@ def index_report(g: GraphMap, bound: int = nielsen.DEFAULT_BOUND) -> IndexReport
         raise InternalCheckError(
             f"gate index {report.gi} exceeds rotationless index "
             f"{report.index_sum}")
+    if report.index_sum <= 1 - report.rank:
+        raise InternalCheckError(
+            f"NP-free representative with index {report.index_sum} <= 1 - r; "
+            f"ageometric characterization violated")
     return report
 
 

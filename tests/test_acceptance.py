@@ -150,7 +150,8 @@ def test_criterion_5_worked_example_fib():
     decision = axes.lone_axis_decision(g, np_bound=8)
     assert decision.overall == "not-lone-axis"
     assert decision.index_sum == Fraction(-1) == 1 - 2
-    assert nielsen.ageometric_certificate(grot, 8) == "not-ageometric"
+    # an NP makes the automorphism not ageometric
+    assert nielsen.np_verdict(grot, 8)[0] is False
     ok(5, f"worked rank-2 example verified (lam = {lam:.10f}, NP found by "
           f"both searches, i = -1 = 1 - r)")
 

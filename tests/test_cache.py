@@ -89,8 +89,16 @@ def test_results_are_shared_per_map():
         is nielsen.find_nielsen_paths(grot(g), 13)
     assert nielsen.find_nielsen_paths(grot(g), 13) \
         is not nielsen.find_nielsen_paths(grot(g), 14)
+    assert axes.lone_axis_decision(g) is axes.lone_axis_decision(g, 40, 0)
+    assert axes.lone_axis_decision(g, 40, 1) \
+        is axes.lone_axis_decision(g, 40, True)
+    assert axes.lone_axis_decision(g) is not axes.lone_axis_decision(g, 41)
+    assert axes.lone_axis_decision(g) \
+        is not axes.lone_axis_decision(g, 40, True)
+    assert axes.axis_signature(g) is axes.axis_signature(g, 13)
     h = fresh(g)
     assert spectral.transition_matrix(h) is not spectral.transition_matrix(g)
+    assert axes.lone_axis_decision(h) is not axes.lone_axis_decision(g)
 
 
 def test_stages_computed_once_per_map(monkeypatch):
@@ -108,6 +116,10 @@ def test_stages_computed_once_per_map(monkeypatch):
                          (traintrack, "_periodic_structure"),
                          (spectral, "_pf_data"),
                          (nielsen, "_find_nielsen_paths"),
+                         (nielsen, "_leg_cap"),
+                         (nielsen, "_iterative_search"),
+                         (axes, "_lone_axis_decision"),
+                         (axes, "_signature_of"),
                          (axes, "_is_homotopy_equivalence"),
                          (axes, "stallings_decomposition")):
         counted(module, name)
@@ -116,11 +128,14 @@ def test_stages_computed_once_per_map(monkeypatch):
         axes.axis_signature(g, np_bound=6)
         nielsen.find_nielsen_paths(grot(g), 6)
     # gates and periodic structure of g and of its rotationless power;
-    # one search per map and bound; one homotopy equivalence check of g,
-    # which records no fold sequence, and one fold sequence for the
+    # one search per map and bound, with one leg cap and one leg search;
+    # one decision and one signature of g; one homotopy equivalence check
+    # of g, which records no fold sequence, and one fold sequence for the
     # signature's records
     assert counts == {"_gates": 2, "_periodic_structure": 2, "_pf_data": 2,
-                      "_find_nielsen_paths": 1,
+                      "_find_nielsen_paths": 1, "_leg_cap": 1,
+                      "_iterative_search": 1, "_lone_axis_decision": 1,
+                      "_signature_of": 1,
                       "_is_homotopy_equivalence": 1,
                       "stallings_decomposition": 1}
 
@@ -162,6 +177,18 @@ def test_mutating_results_cannot_change_verdicts():
         spectral.pf_data(tm).edge_lengths["a"] = 1.0
     with pytest.raises(TypeError):
         traintrack.periodic_structure(g).vertex_periods["v0"] = 2
+    report = axes.lone_axis_decision(g)
+    with pytest.raises(TypeError):
+        report.overall = "lone-axis"
+    with pytest.raises(TypeError):
+        del report.index_sum
+    signature = axes.axis_signature(g)
+    records = signature.records
+    with pytest.raises(TypeError):
+        signature.records = ()
+    with pytest.raises(TypeError):
+        signature.lam = 2.0
+    assert axes.axis_signature(g).records == records
     assert plain(axes.lone_axis_decision(g)) == before
     assert before == plain(axes.lone_axis_decision(fresh(g)))
 

@@ -1,6 +1,9 @@
+import hashlib
 import itertools
+import json
 import random
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -423,17 +426,171 @@ class TestFullyStable:
 
 
 class TestAgeometricCertificate:
+    # a fully irreducible automorphism is ageometric exactly when its
+    # rotationless representative is NP-free (`np_verdict` is True)
     def test_worked_examples(self, fib2, cubic6):
-        assert nielsen.ageometric_certificate(cubic6, 30) == "ageometric"
-        assert nielsen.ageometric_certificate(fib2, 30) == "not-ageometric"
-        assert nielsen.ageometric_certificate(cubic6, 1) == "unknown"
+        assert nielsen.np_verdict(cubic6, 30)[0] is True
+        assert nielsen.np_verdict(fib2, 30)[0] is False
+        assert nielsen.np_verdict(cubic6, 1)[0] is None
 
-    def test_ageometric_index_strictly_above_floor(self, cubic6):
-        # the certificate itself asserts index > 1 - r; recompute here
+    def test_ageometric_index_strictly_above_floor(self, cubic6, monkeypatch):
+        # index_report asserts index > 1 - r on an NP-free map; a gate
+        # structure that breaks the floor fails that check
         from loneaxis import whitehead
         idx = whitehead.index_report(cubic6, 30)
         assert idx.index_sum > 1 - cubic6.domain.rank()
+        monkeypatch.setattr(whitehead, "index_entries_from_gate_counts",
+                            lambda counts: (Fraction(-3),))
+        monkeypatch.setattr(traintrack, "gate_index_sum",
+                            lambda g: Fraction(-3))
+        with pytest.raises(InternalCheckError, match="ageometric"):
+            whitehead.index_report(cubic6, 30)
 
     def test_dumbbell_instance_certificate(self):
+        from loneaxis import whitehead
         g2 = power(dumbbell_instance(), 2)
-        assert nielsen.ageometric_certificate(g2, 13) == "ageometric"
+        assert nielsen.np_verdict(g2, 13)[0] is True
+        assert whitehead.index_report(g2, 13).index_sum > 1 - g2.domain.rank()
+
+
+def rotationless_fixtures():
+    return {name: traintrack.rotationless_power(make())[0]
+            for name, make in (("fib", fib_map), ("cubic", cubic_map),
+                               ("dumbbell", dumbbell_instance),
+                               ("rank4", rank4_map), ("rank5", rank5_map))}
+
+
+def legal_paths_into(g, e, length):
+    """Every legal path of `length` edges whose last edge is e."""
+    gate_of = traintrack.gates(g).gate_of
+    paths = [(e,)]
+    for _ in range(length - 1):
+        paths = [(rev_edge(d),) + p for p in paths
+                 for d in g.domain.directions_at(g.domain.init_vertex(p[0]))
+                 if gate_of[d] != gate_of[p[0]]]
+    return paths
+
+
+def common_end(a, b):
+    n = 0
+    while n < min(len(a), len(b)) and a[-1 - n] == b[-1 - n]:
+        n += 1
+    return n
+
+
+def assert_cancellation_bound_holds(g, length):
+    """No two legal paths of up to `length` edges, whose last edges differ
+    and whose junction degenerates in one step, have images that share
+    more letters at their ends than `_cancellation_bound` allows."""
+    most = nielsen._cancellation_bound(g)
+    dmap = traintrack.direction_map(g)
+    groups = {}
+    for e in g.domain.oriented:
+        for k in range(1, length + 1):
+            for p in legal_paths_into(g, e, k):
+                groups.setdefault(dmap[rev_edge(e)], []).append(
+                    (p, concatenated_image(g, p)))
+    seen = 0
+    for group in groups.values():
+        for (a, image_a), (b, image_b) in itertools.combinations(group, 2):
+            if a[-1] != b[-1]:
+                seen = max(seen, common_end(image_a, image_b))
+    assert seen <= most
+    return seen, most
+
+
+def assert_search_complete_at_leg_cap(g):
+    """No iNP has a leg past the cap: a search at 40 or 160 finds what
+    the search at the cap finds."""
+    cap = nielsen._leg_cap(g)
+    at_cap = nielsen._iterative_search(g, cap)
+    for bound in (40, 160):
+        if bound >= cap:
+            assert nielsen._iterative_search(g, bound) == at_cap, bound
+    return cap
+
+
+def metric_bound_counterexample():
+    """a -> abbbabbabb, b -> babbabb: its iNP a b a' b' has legs of two
+    edges, but `_proven_leg_bound` gives 1 (random_positive_map(2,
+    Random(1), 5, 120))."""
+    return rose_map({"a": "a b b b a b b a b b", "b": "b a b b a b b"})
+
+
+class TestLegCap:
+    @pytest.mark.parametrize("name", ["fib", "cubic", "dumbbell", "rank4",
+                                      "rank5"])
+    def test_longer_search_finds_nothing_more_on_fixtures(self, name):
+        g = rotationless_fixtures()[name]
+        assert assert_search_complete_at_leg_cap(g) <= 4
+        assert_cancellation_bound_holds(g, 3)
+
+    def test_longer_search_finds_nothing_more_on_corpus(self, corpus):
+        for g in corpus:
+            assert_search_complete_at_leg_cap(
+                traintrack.rotationless_power(g)[0])
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(2, 4), st.integers(0, 2**32 - 1), st.integers(5, 12))
+    def test_longer_search_finds_nothing_more_on_random_maps(
+            self, rank, seed, moves):
+        g = random_positive_map(rank, random.Random(seed), moves, 120)
+        try:
+            assume(traintrack.periodic_structure(g).rotationless_exponent <= 3)
+            grot, _ = traintrack.rotationless_power(g)
+            nielsen._require_rotationless_tt(grot)
+        except PreconditionError:
+            assume(False)
+        assert_search_complete_at_leg_cap(grot)
+        assert_cancellation_bound_holds(grot, 3)
+
+    def test_cap_holds_where_the_metric_bound_does_not(self):
+        g = metric_bound_counterexample()
+        nielsen._require_rotationless_tt(g)
+        assert nielsen._proven_leg_bound(g) == 1
+        assert nielsen._leg_cap(g) == 2
+        # the tail of either leg is 15 letters, past each image's length
+        assert assert_cancellation_bound_holds(g, 4) == (15, 15)
+        for bound in (2, 40, 160):
+            inps = nielsen.find_nielsen_paths(g, bound).inps()
+            assert [p.path for p in inps] == [("a", "b", "a'", "b'")]
+
+    def test_no_cap_when_the_ends_agree_without_limit(self):
+        # a -> ab, b -> ab is no homotopy equivalence: a path and the same
+        # path with its last edge swapped have equal images
+        g = rose_map({"a": "a b", "b": "a b"})
+        assert nielsen._cancellation_bound(g) is None
+        assert nielsen._leg_cap(g) is None
+        report = nielsen.find_nielsen_paths(g, 10)
+        assert report.paths == () and report.exhaustive
+
+    @pytest.mark.parametrize("name", ["fib", "cubic"])
+    def test_one_leg_search_per_map_at_or_above_the_cap(
+            self, name, monkeypatch):
+        g = rotationless_fixtures()[name]
+        calls = []
+        search = nielsen._iterative_search
+        monkeypatch.setattr(nielsen, "_iterative_search", lambda g, bound: (
+            calls.append(bound) or search(g, bound)))
+        cap = nielsen._leg_cap(g)
+        for bound in (13, 40, 80, cap, 160):
+            report = nielsen.find_nielsen_paths(g, bound)
+            assert report.search_bound == bound and report.exhaustive
+        assert calls == [cap]
+
+    def test_fib_path_lists_grow_with_the_requested_bound(self):
+        # the legs stop at fib's proven bound 2; the divisible NPs are
+        # still listed up to twice the requested bound
+        g = rotationless_fixtures()["fib"]
+        digests = {}
+        for bound in (40, 80, 160):
+            report = nielsen.find_nielsen_paths(g, bound)
+            assert report.proven_leg_bound == 2 and report.exhaustive
+            assert report.search_bound == bound
+            text = json.dumps([[list(p.path), p.indivisible]
+                               for p in report.paths])
+            digests[bound] = (len(report.paths),
+                              hashlib.sha256(text.encode()).hexdigest()[:16])
+        assert digests == {40: (20, "7068a570fc79d834"),
+                           80: (40, "ac6177c69476cb3d"),
+                           160: (80, "774f42b4b206a05e")}

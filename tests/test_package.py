@@ -53,7 +53,7 @@ def modules_after(code, *argv):
 
 class TestExports:
     def test_each_name_is_its_home_modules_object(self):
-        assert len(loneaxis.__all__) == len(set(loneaxis.__all__)) == 61
+        assert len(loneaxis.__all__) == len(set(loneaxis.__all__)) == 60
         assert list(loneaxis._HOME) == loneaxis.__all__
         for name, module in loneaxis._HOME.items():
             home = importlib.import_module(f"loneaxis.{module}")
