@@ -152,12 +152,12 @@ def _iterative_search(g, bound):
 
 
 def _common_end(a, p, b, q):
-    """Length of the longest common end of a[:p] and b[:q].  Blocks that
-    double up to 1024 letters are compared as slices, so a long match runs
-    in C and copies at most two blocks at a time."""
-    c, n, k = 0, min(p, q), 2
+    """Length of the longest common end of a[:p] and b[:q], compared in
+    slices of at most 1024 letters, so a long match runs in C and copies
+    little at a time."""
+    c, n = 0, min(p, q)
     while c < n:
-        k = min(2 * k, 1024, n - c)
+        k = min(n - c, 1024)
         x, y = a[p - c - k:p - c], b[q - c - k:q - c]
         if x != y:
             return c + sum(takewhile(bool, map(eq, reversed(x), reversed(y))))
@@ -165,58 +165,76 @@ def _common_end(a, p, b, q):
     return c
 
 
+class _Unbounded(Exception):
+    """Raised inside `_cancellation_bound` when the ends can agree without
+    limit."""
+
+
 def _cancellation_bound(g):
     """The most letters that g(alpha) and g(beta) can share at their ends,
     over legal paths alpha and beta whose last edges differ and whose
     junction degenerates in one step; None when no bound shows.
 
-    The ends are matched backwards, image by image.  A state (z, p, w, q)
-    has the first p letters of g(z) and the first q letters of g(w) still
-    unmatched; once one is used up, its side goes on with each legal
-    predecessor of its edge whose image ends in the letter the other side
-    needs next.  Bounded cancellation (Cooper 1987) makes the states a
-    finite acyclic graph for a homotopy equivalence, and the bound is its
-    longest path.  A cycle, or two sides that go on with one edge, would
-    let the ends agree without limit; then there is no bound.
+    The ends are matched backwards, image by image.  In a state (z, p, w)
+    the first p letters of g(z) and the whole of g(w) are still unmatched;
+    the side that is used up first goes on with each legal predecessor of
+    its edge whose image ends in the letter the other side needs next.
+    Bounded cancellation (Cooper 1987) makes the states a finite acyclic
+    graph for a homotopy equivalence, and the bound is its longest path.
+    A cycle, or two sides that go on with one edge, would let the ends
+    agree without limit; so would a chain of states too deep to follow.
     """
     dom = g.domain
     gate_of = traintrack.gates(g).gate_of
-    preds = {w: [rev_edge(d) for d in dom.directions_at(dom.init_vertex(w))
-                 if gate_of[d] != gate_of[w]] for w in dom.oriented}
-    size = {e: len(g.image(e)) for e in dom.oriented}
-    roots = [(x, size[x], y, size[y]) for x, y in combinations(dom.oriented, 2)
-             if g.image(x)[-1] == g.image(y)[-1]]
-    value, expanded, on_path = {}, {}, set()
-    todo = [(state, False) for state in roots]
-    while todo:
-        state, done = todo.pop()
-        if done:
-            c, nexts = expanded[state]
-            value[state] = c + max(map(value.__getitem__, nexts), default=0)
-            on_path.discard(state)
-            continue
+    img = {e: g.image(e) for e in dom.oriented}
+    preds, value, on_path = {}, {}, set()
+
+    def predecessors(w):
+        # the legal predecessors of w, by the last letter of their image
+        if w not in preds:
+            by_end = preds[w] = {}
+            for d in dom.directions_at(dom.init_vertex(w)):
+                if gate_of[d] != gate_of[w]:
+                    by_end.setdefault(img[rev_edge(d)][-1], []).append(
+                        rev_edge(d))
+        return preds[w]
+
+    def longest(z, p, w):
+        state = z, p, w
         if state in value:
-            continue
+            return value[state]
         if state in on_path:
-            return None
-        z, p, w, q = state
-        c = _common_end(g.image(z), p, g.image(w), q)
-        nexts = []
-        if c == min(p, q):
-            p, q = p - c, q - c
-            for z2 in preds[z] if p == 0 else (z,):
-                for w2 in preds[w] if q == 0 else (w,):
-                    if p == q == 0 and z2 == w2:
-                        return None
-                    p2, q2 = p or size[z2], q or size[w2]
-                    # a state whose ends differ adds no letter: skip it
-                    if g.image(z2)[p2 - 1] == g.image(w2)[q2 - 1]:
-                        nexts.append((z2, p2, w2, q2))
-        expanded[state] = c, nexts
+            raise _Unbounded
         on_path.add(state)
-        todo.append((state, True))
-        todo += ((s, False) for s in nexts)
-    return max(map(value.__getitem__, roots), default=0)
+        a, b = img[z], img[w]
+        c = _common_end(a, p, b, len(b))
+        p, q = p - c, len(b) - c
+        more = 0
+        if p and not q:
+            for w2 in predecessors(w).get(a[p - 1], ()):
+                more = max(more, longest(z, p, w2))
+        elif q and not p:
+            for z2 in predecessors(z).get(b[q - 1], ()):
+                more = max(more, longest(w, q, z2))
+        elif not p:
+            for end, zs in predecessors(z).items():
+                for w2 in predecessors(w).get(end, ()):
+                    for z2 in zs:
+                        if z2 == w2:
+                            raise _Unbounded
+                        # a fresh pair reads the same in either order
+                        x, y = min(z2, w2), max(z2, w2)
+                        more = max(more, longest(x, len(img[x]), y))
+        on_path.discard(state)
+        value[state] = c + more
+        return c + more
+
+    try:
+        return max((longest(x, len(img[x]), y)
+                    for x, y in combinations(dom.oriented, 2)
+                    if img[x][-1] == img[y][-1]), default=0)
+    except (_Unbounded, RecursionError):
+        return None
 
 
 def _leg_cap(g):

@@ -12,7 +12,7 @@ from loneaxis.errors import (InternalCheckError, NielsenPathPresentError,
                              PreconditionError)
 from loneaxis.graphs import (GraphMap, MarkedGraph, power, rev_edge,
                              rev_path, rose_map)
-from loneaxis import axes, nielsen, traintrack
+from loneaxis import axes, nielsen, traintrack, whitehead
 
 from conftest import (cubic_map, defect_map, dumbbell_instance,
                       eight_petal_map, fib_map, rank4_map, rank5_map,
@@ -436,7 +436,6 @@ class TestAgeometricCertificate:
     def test_ageometric_index_strictly_above_floor(self, cubic6, monkeypatch):
         # index_report asserts index > 1 - r on an NP-free map; a gate
         # structure that breaks the floor fails that check
-        from loneaxis import whitehead
         idx = whitehead.index_report(cubic6, 30)
         assert idx.index_sum > 1 - cubic6.domain.rank()
         monkeypatch.setattr(whitehead, "index_entries_from_gate_counts",
@@ -447,7 +446,6 @@ class TestAgeometricCertificate:
             whitehead.index_report(cubic6, 30)
 
     def test_dumbbell_instance_certificate(self):
-        from loneaxis import whitehead
         g2 = power(dumbbell_instance(), 2)
         assert nielsen.np_verdict(g2, 13)[0] is True
         assert whitehead.index_report(g2, 13).index_sum > 1 - g2.domain.rank()
