@@ -172,29 +172,34 @@ class _Unbounded(Exception):
 
 def _cancellation_bound(g):
     """The most letters that g(alpha) and g(beta) can share at their ends,
-    over legal paths alpha and beta whose last edges differ and whose
-    junction degenerates in one step; None when no bound shows.
+    over paths alpha and beta that cross only taken turns, whose last
+    edges differ and whose junction degenerates in one step; None when
+    no bound shows.
 
     The ends are matched backwards, image by image.  In a state (z, p, w)
     the first p letters of g(z) and the whole of g(w) are still unmatched;
-    the side that is used up first goes on with each legal predecessor of
-    its edge whose image ends in the letter the other side needs next.
-    Bounded cancellation (Cooper 1987) makes the states a finite acyclic
-    graph for a homotopy equivalence, and the bound is its longest path.
-    A cycle, or two sides that go on with one edge, would let the ends
-    agree without limit; so would a chain of states too deep to follow.
+    the side that is used up first goes on with each predecessor of its
+    edge across a taken turn whose image ends in the letter the other
+    side needs next.  Only those turns matter: an eigenray is a limit of
+    iterated images, so it crosses only taken turns.  Bounded cancellation
+    (Cooper 1987) makes the states a finite acyclic graph for a homotopy
+    equivalence, and the bound is its longest path.  A cycle, or two sides
+    that go on with one edge, would let the ends agree without limit; so
+    would a chain of states too deep to follow.  The caller has checked
+    that g is a rotationless irreducible train track map, hence primitive.
     """
     dom = g.domain
-    gate_of = traintrack.gates(g).gate_of
+    taken = traintrack.taken_turns(g)
     img = {e: g.image(e) for e in dom.oriented}
     preds, value, on_path = {}, {}, set()
 
     def predecessors(w):
-        # the legal predecessors of w, by the last letter of their image
+        # the edges z with z . w crossing a taken turn, by the last letter
+        # of their image
         if w not in preds:
             by_end = preds[w] = {}
             for d in dom.directions_at(dom.init_vertex(w)):
-                if gate_of[d] != gate_of[w]:
+                if frozenset((d, w)) in taken:
                     by_end.setdefault(img[rev_edge(d)][-1], []).append(
                         rev_edge(d))
         return preds[w]

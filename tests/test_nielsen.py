@@ -458,14 +458,15 @@ def rotationless_fixtures():
                                ("rank4", rank4_map), ("rank5", rank5_map))}
 
 
-def legal_paths_into(g, e, length):
-    """Every legal path of `length` edges whose last edge is e."""
-    gate_of = traintrack.gates(g).gate_of
+def taken_paths_into(g, e, length):
+    """Every path of `length` edges that ends in e and crosses only taken
+    turns, as eigenrays do."""
+    taken = traintrack.taken_turns(g)
     paths = [(e,)]
     for _ in range(length - 1):
         paths = [(rev_edge(d),) + p for p in paths
                  for d in g.domain.directions_at(g.domain.init_vertex(p[0]))
-                 if gate_of[d] != gate_of[p[0]]]
+                 if frozenset((d, p[0])) in taken]
     return paths
 
 
@@ -477,15 +478,16 @@ def common_end(a, b):
 
 
 def assert_cancellation_bound_holds(g, length):
-    """No two legal paths of up to `length` edges, whose last edges differ
-    and whose junction degenerates in one step, have images that share
-    more letters at their ends than `_cancellation_bound` allows."""
+    """No two paths of up to `length` edges across taken turns, whose last
+    edges differ and whose junction degenerates in one step, have images
+    that share more letters at their ends than `_cancellation_bound`
+    allows."""
     most = nielsen._cancellation_bound(g)
     dmap = traintrack.direction_map(g)
     groups = {}
     for e in g.domain.oriented:
         for k in range(1, length + 1):
-            for p in legal_paths_into(g, e, k):
+            for p in taken_paths_into(g, e, k):
                 groups.setdefault(dmap[rev_edge(e)], []).append(
                     (p, concatenated_image(g, p)))
     seen = 0
