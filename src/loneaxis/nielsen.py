@@ -166,31 +166,36 @@ def _common_end(a, p, b, q):
 
 
 class _Unbounded(Exception):
-    """Raised inside `_cancellation_bound` when the ends can agree without
-    limit."""
+    """Raised inside `_tail_bound` when two ends can agree without limit."""
 
 
-def _cancellation_bound(g):
-    """The most letters that g(alpha) and g(beta) can share at their ends,
-    over paths alpha and beta that cross only taken turns, whose last
-    edges differ and whose junction degenerates in one step; None when
-    no bound shows.
+def _tail_bound(g):
+    """The most letters the tail of an iNP leg of two or more edges can
+    have; None when no bound shows.
 
-    The ends are matched backwards, image by image.  In a state (z, p, w)
-    the first p letters of g(z) and the whole of g(w) are still unmatched;
-    the side that is used up first goes on with each predecessor of its
-    edge across a taken turn whose image ends in the letter the other
-    side needs next.  Only those turns matter: an eigenray is a limit of
-    iterated images, so it crosses only taken turns.  Bounded cancellation
-    (Cooper 1987) makes the states a finite acyclic graph for a homotopy
-    equivalence, and the bound is its longest path.  A cycle, or two sides
-    that go on with one edge, would let the ends agree without limit; so
-    would a chain of states too deep to follow.  The caller has checked
-    that g is a rotationless irreducible train track map, hence primitive.
+    Such a leg R[:i] has n(i-1) >= i, so its tail R[i:n(i)] ends in the
+    whole image of its last edge x; the mate's tail, the same path, ends
+    in the image of its own last edge y, so one of g(x), g(y) ends the
+    other.  The tail is then what g(alpha) and g(beta) share at their
+    ends, for the two legs alpha and beta, and it is bounded by matching
+    images backwards from every such pair x, y.  In a state (z, p, w) the
+    first p letters of g(z) and the whole of g(w) are still unmatched;
+    the side used up first goes on with each edge before it across a
+    taken turn (an eigenray is a limit of iterated images, so it crosses
+    no other turn) whose image ends in the letter the other side needs
+    next.  Bounded cancellation (Cooper 1987) makes the states a finite
+    acyclic graph for a homotopy equivalence, and the bound is its
+    longest path.  A cycle, or two sides that go on with one edge, would
+    let the ends agree without limit; so would a chain of states too deep
+    to follow.  The caller has checked that g is a rotationless
+    irreducible train track map, hence primitive.
     """
     dom = g.domain
-    taken = traintrack.taken_turns(g)
     img = {e: g.image(e) for e in dom.oriented}
+    partners = {}
+    for d1, d2 in map(tuple, traintrack.taken_turns(g)):
+        partners.setdefault(d1, []).append(d2)
+        partners.setdefault(d2, []).append(d1)
     preds, value, on_path = {}, {}, set()
 
     def predecessors(w):
@@ -198,10 +203,8 @@ def _cancellation_bound(g):
         # of their image
         if w not in preds:
             by_end = preds[w] = {}
-            for d in dom.directions_at(dom.init_vertex(w)):
-                if frozenset((d, w)) in taken:
-                    by_end.setdefault(img[rev_edge(d)][-1], []).append(
-                        rev_edge(d))
+            for d in partners.get(w, ()):
+                by_end.setdefault(img[rev_edge(d)][-1], []).append(rev_edge(d))
         return preds[w]
 
     def longest(z, p, w):
@@ -234,10 +237,19 @@ def _cancellation_bound(g):
         value[state] = c + more
         return c + more
 
+    ends = {}
+    for e in dom.oriented:
+        ends.setdefault(img[e][-1], []).append(e)
+    pairs = []
+    for same in ends.values():
+        for x, y in combinations(same, 2):
+            if len(img[x]) < len(img[y]):
+                x, y = y, x
+            if _common_end(img[x], len(img[x]), img[y], len(img[y])) \
+                    == len(img[y]):
+                pairs.append((x, y))
     try:
-        return max((longest(x, len(img[x]), y)
-                    for x, y in combinations(dom.oriented, 2)
-                    if img[x][-1] == img[y][-1]), default=0)
+        return max((longest(x, len(img[x]), y) for x, y in pairs), default=0)
     except (_Unbounded, RecursionError):
         return None
 
@@ -246,13 +258,12 @@ def _leg_cap(g):
     """The longest leg an indivisible NP of g can have, in edges, or None
     when no cap shows.
 
-    The legs R_a[:i] and R_b[:j] of an iNP share their tail, and g(R_a[:i])
-    = R_a[:i] . tau ends in the same tau as g(R_b[:j]), so the tail has at
-    most `_cancellation_bound` letters.  The tail length n(i) - i never
-    falls as i grows, so each ray is walked, a letter at a time, until its
-    tail passes that bound.  Stored on g.
+    A leg of one edge is always read.  A longer leg's tail has at most
+    `_tail_bound` letters, and the tail length n(i) - i never falls as i
+    grows, so each ray is walked, a letter at a time, until its tail
+    passes that bound.  Stored on g.
     """
-    most = _cancellation_bound(g)
+    most = _tail_bound(g)
     if most is None:
         return None
     cap = 1
