@@ -240,18 +240,16 @@ def _tail_bound(g):
     ends = {}
     for e in dom.oriented:
         ends.setdefault(img[e][-1], []).append(e)
-    pairs = []
-    for same in ends.values():
-        for x, y in combinations(same, 2):
-            if len(img[x]) < len(img[y]):
-                x, y = y, x
-            if _common_end(img[x], len(img[x]), img[y], len(img[y])) \
-                    == len(img[y]):
-                pairs.append((x, y))
+    # pairs whose images nest: the shorter one ends the longer one
+    nested = [(x, y) if len(img[x]) >= len(img[y]) else (y, x)
+              for same in ends.values() for x, y in combinations(same, 2)
+              if all(map(eq, reversed(img[x]), reversed(img[y])))]
     try:
-        return max((longest(x, len(img[x]), y) for x, y in pairs), default=0)
+        return max((longest(x, len(img[x]), y) for x, y in nested), default=0)
     except (_Unbounded, RecursionError):
         return None
+    finally:
+        longest = None  # it refers to itself: free it without the collector
 
 
 def _leg_cap(g):
