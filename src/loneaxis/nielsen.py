@@ -177,30 +177,26 @@ def _tail_bound(g):
     whole image of its last edge x; the mate's tail, the same path, ends
     in the image of its own last edge y, so one of g(x), g(y) ends the
     other.  The tail is then what g(alpha) and g(beta) share at their
-    ends, for the two legs alpha and beta, and it is bounded by matching
-    images backwards from every such pair x, y.  In a state (z, p, w) the
-    first p letters of g(z) and the whole of g(w) are still unmatched;
-    the side used up first goes on with each edge before it across a
-    taken turn (an eigenray is a limit of iterated images, so it crosses
-    no other turn) whose image ends in the letter the other side needs
-    next.  Bounded cancellation (Cooper 1987) makes the states a finite
-    acyclic graph for a homotopy equivalence, and the bound is its
+    ends, for the two legal legs alpha and beta, and it is bounded by
+    matching images backwards from every such pair x, y.  In a state
+    (z, p, w) the first p letters of g(z) and the whole of g(w) are still
+    unmatched; the side used up first goes on with each edge before it
+    across a legal turn whose image ends in the letter the other side
+    needs next.  Bounded cancellation (Cooper 1987) makes the states a
+    finite acyclic graph for a homotopy equivalence, and the bound is its
     longest path.  A cycle, or two sides that go on with one edge, would
     let the ends agree without limit; so would a chain of states too deep
-    to follow.  The caller has checked that g is a rotationless
-    irreducible train track map, hence primitive.
+    to follow.
     """
     dom = g.domain
     img = {e: g.image(e) for e in dom.oriented}
-    partners = {}
-    for d1, d2 in map(tuple, traintrack.taken_turns(g)):
-        partners.setdefault(d1, []).append(d2)
-        partners.setdefault(d2, []).append(d1)
+    gate_of = traintrack.gates(g).gate_of
+    partners = {w: [d for d in dom.directions_at(dom.init_vertex(w))
+                    if gate_of[d] != gate_of[w]] for w in dom.oriented}
     preds, value, on_path = {}, {}, set()
 
     def predecessors(w):
-        # the edges z with z . w crossing a taken turn, by the last letter
-        # of their image
+        # the edges z with z . w legal, by the last letter of their image
         if w not in preds:
             by_end = preds[w] = {}
             for d in partners.get(w, ()):

@@ -458,15 +458,14 @@ def rotationless_fixtures():
                                ("rank4", rank4_map), ("rank5", rank5_map))}
 
 
-def taken_paths_into(g, e, length):
-    """Every path of `length` edges that ends in e and crosses only taken
-    turns, as eigenrays do."""
-    taken = traintrack.taken_turns(g)
+def legal_paths_into(g, e, length):
+    """Every legal path of `length` edges whose last edge is e."""
+    gate_of = traintrack.gates(g).gate_of
     paths = [(e,)]
     for _ in range(length - 1):
         paths = [(rev_edge(d),) + p for p in paths
                  for d in g.domain.directions_at(g.domain.init_vertex(p[0]))
-                 if frozenset((d, p[0])) in taken]
+                 if gate_of[d] != gate_of[p[0]]]
     return paths
 
 
@@ -478,15 +477,14 @@ def common_end(a, b):
 
 
 def assert_tail_bound_holds(g, length):
-    """No two paths of up to `length` edges across taken turns, whose last
-    edges x and y differ, with one of g(x), g(y) ending the other, have
-    images that share more letters at their ends than `_tail_bound`
-    allows."""
+    """No two legal paths of up to `length` edges, whose last edges x and
+    y differ, with one of g(x), g(y) ending the other, have images that
+    share more letters at their ends than `_tail_bound` allows."""
     most = nielsen._tail_bound(g)
     groups = {}
     for e in g.domain.oriented:
         for k in range(1, length + 1):
-            for p in taken_paths_into(g, e, k):
+            for p in legal_paths_into(g, e, k):
                 groups.setdefault(g.image(e)[-1], []).append(
                     (p, concatenated_image(g, p)))
     seen = 0
