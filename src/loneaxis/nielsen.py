@@ -191,16 +191,16 @@ def _tail_bound(g):
     dom = g.domain
     img = {e: g.image(e) for e in dom.oriented}
     gate_of = traintrack.gates(g).gate_of
-    partners = {w: [d for d in dom.directions_at(dom.init_vertex(w))
-                    if gate_of[d] != gate_of[w]] for w in dom.oriented}
     preds, value, on_path = {}, {}, set()
 
     def predecessors(w):
         # the edges z with z . w legal, by the last letter of their image
         if w not in preds:
             by_end = preds[w] = {}
-            for d in partners.get(w, ()):
-                by_end.setdefault(img[rev_edge(d)][-1], []).append(rev_edge(d))
+            for d in dom.directions_at(dom.init_vertex(w)):
+                if gate_of[d] != gate_of[w]:
+                    by_end.setdefault(img[rev_edge(d)][-1], []).append(
+                        rev_edge(d))
         return preds[w]
 
     def longest(z, p, w):
