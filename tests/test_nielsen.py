@@ -577,8 +577,8 @@ class TestLegCap:
         assert calls == [cap]
 
     def test_fib_path_lists_grow_with_the_requested_bound(self):
-        # the legs stop at fib's proven bound 2; the divisible NPs are
-        # still listed up to twice the requested bound
+        # the legs stop at fib's leg cap 2; the divisible NPs are still
+        # listed up to twice the requested bound
         g = rotationless_fixtures()["fib"]
         digests = {}
         for bound in (40, 80, 160):
