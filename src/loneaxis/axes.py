@@ -500,8 +500,10 @@ class LoneAxisReport(ReadOnlyAttributes):
     ``overall`` is one of lone-axis / conditional / not-lone-axis /
     unknown, where conditional means both conditions hold but full
     irreducibility was not asserted by the caller.  ``proven_leg_bound``
-    is the Nielsen search bound that settles an unknown verdict.  The
-    report is stored on the map and shared, so it is read-only.
+    is the leg cap of the rotationless power, the Nielsen search bound
+    that settles an unknown verdict; when no cap shows it is None, and no
+    bound settles it.  The report is stored on the map and shared, so it
+    is read-only.
     """
 
     _REQUIRED = ("rank", "train_track", "primitive", "rotationless_exponent",

@@ -10,7 +10,8 @@ legs that meet at a tight turn degenerating in one step form an NP
 exactly when their tails agree, so the search matches legs by tail.
 A tail is what the images of the two legs share at their ends, which
 bounded cancellation limits, so the legs are read only up to a cap that
-no indivisible NP can pass, whatever bound is asked.
+no indivisible NP can pass, whatever bound is asked, and a search whose
+bound reaches the cap certifies.
 """
 
 from __future__ import annotations
@@ -43,11 +44,11 @@ class NielsenPathReport:
 
     ``paths`` lists every NP found with legs of at most ``search_bound``
     edges, the requested bound, canonically oriented and sorted; the legs
-    are read up to min(bound, cap), where no iNP has a longer leg than the
-    cap (`_leg_cap`).  ``exhaustive`` means the proven leg bound lies
-    within the requested bound, so an empty list certifies NP-freeness
-    (concatenations of indivisible paths are only enumerated up to twice
-    the bound).
+    are read up to min(bound, cap).  ``proven_leg_bound`` is that cap
+    (`_leg_cap`), the longest leg an iNP can have, or None when no cap
+    shows.  ``exhaustive`` means the cap lies within the requested bound,
+    so an empty list certifies NP-freeness (concatenations of indivisible
+    paths are only enumerated up to twice the bound).
     """
 
     def __init__(self, paths, search_bound, exhaustive, proven_leg_bound):
@@ -320,28 +321,6 @@ def _concatenations(g, inps, max_len):
     return sorted(out)
 
 
-def _proven_leg_bound(g):
-    """Edge-count bound on a leg of any indivisible NP, from the metric.
-
-    In the eigenmetric a leg satisfies lam * L = L + L(prefix) with the
-    prefix no longer than the longest edge image, so
-    L <= lam * max_len / (lam - 1); dividing by the shortest edge
-    converts length to an edge count.  The caller has checked that g
-    is irreducible and expanding.  The premise fails when the tail spans
-    more than one edge image, and so does the bound: see `_leg_cap`,
-    which the search reads instead.
-    """
-    pf = spectral.pf_data(spectral.transition_matrix(g))
-    # the search does not use the eigenmetric; building it runs the
-    # affine check, which validates the PF data this bound rests on
-    spectral.eigenmetric(g)
-    lam = pf.lam
-    max_len = max(pf.edge_lengths.values())
-    min_len = min(pf.edge_lengths.values())
-    leg_length = lam * max_len / (lam - 1)
-    return int(leg_length / min_len + 1e-9)
-
-
 def find_nielsen_paths(g: GraphMap, bound: int = DEFAULT_BOUND) -> NielsenPathReport:
     """Search for Nielsen paths with legs of at most `bound` edges.
 
@@ -350,8 +329,8 @@ def find_nielsen_paths(g: GraphMap, bound: int = DEFAULT_BOUND) -> NielsenPathRe
     (`_leg_cap`) and stored on g, so every bound at or above the cap
     shares one search; divisible ones are their tight concatenations of
     up to twice the requested bound, which ``search_bound`` reports.  The
-    report is exhaustive when the proven leg bound fits under the
-    requested bound.
+    report is exhaustive when the leg cap fits under the requested bound;
+    with no cap it never is.
     Raises NielsenPathPresentError when the concatenations are too many
     to list.  The report is stored on g per bound and shared by every
     caller.
@@ -364,9 +343,8 @@ def find_nielsen_paths(g: GraphMap, bound: int = DEFAULT_BOUND) -> NielsenPathRe
 
 def _find_nielsen_paths(g, bound):
     _require_rotationless_tt(g)
-    proven = _proven_leg_bound(g)
     # no iNP has a leg past the cap, so every bound at or above it shares
-    # one search, stored on g
+    # one search, stored on g, and certifies
     cap = g._derived("leg_cap", _leg_cap)
     legs = bound if cap is None else min(bound, cap)
     inps = g._derived(("inps", legs), lambda g: _iterative_search(g, legs))
@@ -374,7 +352,8 @@ def _find_nielsen_paths(g, bound):
     paths = [NielsenPath(p, True) for p in inps]
     paths += [NielsenPath(p, False) for p in divisible]
     paths.sort(key=lambda np_: np_.path)
-    return NielsenPathReport(paths, bound, bound >= proven, proven)
+    return NielsenPathReport(paths, bound, cap is not None and bound >= cap,
+                             cap)
 
 
 def np_verdict(g: GraphMap, bound: int = DEFAULT_BOUND):
@@ -400,7 +379,10 @@ def _np_verdict(g, bound):
                        f"{' '.join(report.paths[0].path)}; ideal data is "
                        f"undefined here"), report
     if not report.exhaustive:
+        cap = report.proven_leg_bound
+        why = (": no leg cap shows for this map, so a larger bound cannot "
+               "certify it" if cap is None
+               else f" (proven bound {cap}); raise it")
         return None, (f"Nielsen search at bound {report.search_bound} is not "
-                      f"exhaustive (proven bound {report.proven_leg_bound}); "
-                      f"raise it"), report
+                      f"exhaustive{why}"), report
     return True, None, report

@@ -5,10 +5,10 @@ import pytest
 
 from loneaxis.errors import NotLoneAxisError, PreconditionError
 from loneaxis.graphs import compose, power, rose_map
-from loneaxis import axes, spectral, traintrack
+from loneaxis import axes, nielsen, spectral, traintrack
 
-from conftest import (cubic_map, cubic_map_relabeled, defect_map,
-                      dumbbell_instance, eight_petal_map, fib_map,
+from conftest import (build_corpus, cubic_map, cubic_map_relabeled,
+                      defect_map, dumbbell_instance, eight_petal_map, fib_map,
                       identity_map, runaway_map)
 from oracles import isometric, recompose
 
@@ -179,6 +179,26 @@ class TestLoneAxisDecision:
         assert rep.overall == "not-lone-axis"
         assert rep.np_free is False
         assert rep.index_sum == 1 - 8
+
+    def test_default_bound_agrees_with_a_tenfold_bound(self, monkeypatch):
+        # every corpus map the decision accepts is certified at bound 40,
+        # with the verdict and index sum of bound 400, from one leg search
+        calls = []
+        search = nielsen._iterative_search
+        monkeypatch.setattr(nielsen, "_iterative_search", lambda g, bound: (
+            calls.append(bound) or search(g, bound)))
+        decided = 0
+        for g in build_corpus():  # fresh maps: no search stored on them
+            try:
+                rep = axes.lone_axis_decision(g, 40)
+            except PreconditionError:
+                continue
+            wide = axes.lone_axis_decision(g, 400)
+            assert rep.overall != "unknown"
+            assert (rep.overall, rep.index_sum) == (wide.overall,
+                                                    wide.index_sum)
+            decided += 1
+        assert decided and len(calls) == decided
 
 
 class TestRotationlessPower:

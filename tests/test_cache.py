@@ -128,11 +128,12 @@ def test_stages_computed_once_per_map(monkeypatch):
         axes.axis_signature(g, np_bound=6)
         nielsen.find_nielsen_paths(grot(g), 6)
     # gates and periodic structure of g and of its rotationless power;
+    # PF data of g alone, as the search on the power reads no eigenvalue;
     # one search per map and bound, with one leg cap and one leg search;
     # one decision and one signature of g; one homotopy equivalence check
     # of g, which records no fold sequence, and one fold sequence for the
     # signature's records
-    assert counts == {"_gates": 2, "_periodic_structure": 2, "_pf_data": 2,
+    assert counts == {"_gates": 2, "_periodic_structure": 2, "_pf_data": 1,
                       "_find_nielsen_paths": 1, "_leg_cap": 1,
                       "_iterative_search": 1, "_lone_axis_decision": 1,
                       "_signature_of": 1,

@@ -175,12 +175,35 @@ class TestSubcommands:
 
     def test_lone_axis_unknown_names_the_proven_bound(self, capsys):
         code, out = run_capture(
-            ["lone-axis", str(DOCS / "rank5.txt"), "--json"], capsys)
+            ["lone-axis", str(DOCS / "rank5.txt"), "--bound", "3", "--json"],
+            capsys)
         assert code == 2
         report = json.loads(out)
         assert report["verdicts"]["overall"] == "unknown"
-        assert report["bounds"] == {"nielsen_bound": 40,
-                                    "proven_leg_bound": 60}
+        assert report["bounds"] == {"nielsen_bound": 3,
+                                    "proven_leg_bound": 4}
+
+    def test_search_below_the_leg_cap_never_certifies(self, tmp_path, capsys):
+        # the iNP a b a' b' has legs of two edges, the map's leg cap
+        p = tmp_path / "cap.doc"
+        p.write_text(serialize_document(GraphMapDocument(rose_map(
+            {"a": "a b b b a b b a b b", "b": "b a b b a b b"}))))
+        code, out = run_capture(["pnp", str(p), "--bound", "1", "--json"],
+                                capsys)
+        assert code == 2
+        report = json.loads(out)
+        assert report["verdicts"]["exhaustive"] is False
+        assert report["bounds"]["proven_leg_bound"] == 2
+        assert report["values"]["nielsen_paths"] == []
+        code, out = run_capture(["lone-axis", str(p), "--bound", "1"], capsys)
+        assert code == 2
+        assert "overall: unknown" in out
+        code, out = run_capture(
+            ["lone-axis", str(p), "--bound", "2", "--json"], capsys)
+        assert code == 1
+        verdicts = json.loads(out)["verdicts"]
+        assert verdicts["np_free"] is False
+        assert verdicts["overall"] == "not-lone-axis"
 
     def test_lone_axis_negative(self, f_file, capsys):
         code, out = run_capture(["lone-axis", f_file, "--bound", "13"], capsys)

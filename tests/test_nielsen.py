@@ -12,7 +12,7 @@ from loneaxis.errors import (InternalCheckError, NielsenPathPresentError,
                              PreconditionError)
 from loneaxis.graphs import (GraphMap, MarkedGraph, power, rev_edge,
                              rev_path, rose_map)
-from loneaxis import axes, nielsen, traintrack, whitehead
+from loneaxis import axes, nielsen, spectral, traintrack, whitehead
 
 from conftest import (cubic_map, defect_map, dumbbell_instance,
                       eight_petal_map, fib_map, rank4_map, rank5_map,
@@ -126,10 +126,11 @@ class TestLegMatching:
 
     def test_matches_all_pairs_on_long_images(self):
         # edge images of up to 49 700 letters; the all-pairs reference
-        # grows each ray with whole images, so it stays at the proven bound
+        # grows each ray with whole images, so it stays just past the leg
+        # cap, 2
         grot, _ = traintrack.rotationless_power(defect_map())
         report = nielsen.find_nielsen_paths(grot, 3)
-        assert report.proven_leg_bound == 3 and report.exhaustive
+        assert report.proven_leg_bound == 2 and report.exhaustive
         assert [p.path for p in report.inps()] == all_pairs_inps(grot, 3)
 
     def test_too_many_concatenations(self):
@@ -312,7 +313,7 @@ def test_short_search_copies_no_long_image():
     # bound 4 reads them in place and copies at most 4 letters of each ray
     grot, _ = traintrack.rotationless_power(defect_map())
     nielsen._require_rotationless_tt(grot)
-    nielsen._proven_leg_bound(grot)
+    grot._derived("leg_cap", nielsen._leg_cap)
     tracemalloc.start()
     try:
         report = nielsen.find_nielsen_paths(grot, 4)
@@ -321,6 +322,18 @@ def test_short_search_copies_no_long_image():
         tracemalloc.stop()
     assert report.paths == () and report.exhaustive
     assert peak < 64 * 2 ** 10
+
+
+@pytest.mark.parametrize("make", [fib_map, cubic_map, dumbbell_instance,
+                                  rank4_map, rank5_map])
+def test_decision_runs_no_float_spectral_code(make, monkeypatch):
+    # the search certifies by the integer leg cap, so neither the search
+    # nor the index, the ideal graph or the decision reads PF data
+    def fail(*args):
+        raise AssertionError("float spectral code ran")
+    monkeypatch.setattr(spectral, "_pf_data", fail)
+    monkeypatch.setattr(spectral, "_eigenmetric", fail)
+    assert axes.lone_axis_decision(make()).overall != "unknown"
 
 
 def test_fixed_directions_have_period_one(corpus):
@@ -510,8 +523,9 @@ def assert_search_complete_at_leg_cap(g):
 
 def metric_bound_counterexample():
     """a -> abbbabbabb, b -> babbabb: its iNP a b a' b' has legs of two
-    edges, but `_proven_leg_bound` gives 1 (random_positive_map(2,
-    Random(1), 5, 120))."""
+    edges, but the eigenmetric bound lam * max_len / ((lam - 1) * min_len)
+    rounds down to 1, as the tail spans more than one edge image
+    (random_positive_map(2, Random(1), 5, 120))."""
     return rose_map({"a": "a b b b a b b a b b", "b": "b a b b a b b"})
 
 
@@ -544,14 +558,19 @@ class TestLegCap:
 
     def test_cap_holds_where_the_metric_bound_does_not(self):
         g = metric_bound_counterexample()
-        nielsen._require_rotationless_tt(g)
-        assert nielsen._proven_leg_bound(g) == 1
         assert nielsen._leg_cap(g) == 2
         # the tail of either leg is 15 letters, past each image's length
         assert assert_tail_bound_holds(g, 4) == (15, 15)
+        # a search below the cap finds nothing and certifies nothing
+        short = nielsen.find_nielsen_paths(g, 1)
+        assert short.paths == () and not short.exhaustive
+        assert short.proven_leg_bound == 2
+        assert nielsen.np_verdict(g, 1)[0] is None
         for bound in (2, 40, 160):
-            inps = nielsen.find_nielsen_paths(g, bound).inps()
-            assert [p.path for p in inps] == [("a", "b", "a'", "b'")]
+            report = nielsen.find_nielsen_paths(g, bound)
+            assert report.exhaustive and report.proven_leg_bound == 2
+            assert [p.path for p in report.inps()] == [("a", "b", "a'", "b'")]
+            assert nielsen.np_verdict(g, bound)[0] is False
 
     def test_no_cap_when_the_ends_agree_without_limit(self):
         # a -> ab, b -> ab is no homotopy equivalence: a path and the same
@@ -559,8 +578,14 @@ class TestLegCap:
         g = rose_map({"a": "a b", "b": "a b"})
         assert nielsen._tail_bound(g) is None
         assert nielsen._leg_cap(g) is None
+        # with no cap no bound certifies, and the verdict says so
         report = nielsen.find_nielsen_paths(g, 10)
-        assert report.paths == () and report.exhaustive
+        assert report.paths == () and not report.exhaustive
+        assert report.proven_leg_bound is None
+        free, reason, _ = nielsen.np_verdict(g, 10)
+        assert free is None
+        assert "no leg cap shows for this map" in reason
+        assert "a larger bound cannot certify it" in reason
 
     @pytest.mark.parametrize("name", ["fib", "cubic"])
     def test_one_leg_search_per_map_at_or_above_the_cap(
