@@ -10,12 +10,6 @@ train track representative sweeps out a periodic line through the space
 of volume-1 marked metric graphs; on lone-axis input the foldable turn
 is unique at every stage, which makes the record of the decomposition a
 canonical cyclic word usable as a conjugacy invariant.
-
-The lone-axis decision only needs to know that its input is a homotopy
-equivalence, which it checks without recording a decomposition: the
-edge images are folded in one pass with union-find, and the map is an
-automorphism iff the folded graph is the codomain and the rank does not
-drop (Stallings 1983).
 """
 
 from __future__ import annotations
@@ -26,7 +20,6 @@ import json
 import math
 from collections.abc import Sequence
 from fractions import Fraction
-from itertools import chain, islice
 
 from .errors import (DecompositionError, InternalCheckError,
                      NotLoneAxisError, PreconditionError)
@@ -454,6 +447,18 @@ def _stage_metric(seq: FoldSequence, i: int, lengths, lam) -> MarkedGraph:
         for e in graph.edge_ends})
 
 
+def _require_primitive_automorphism(g):
+    """Refuse g unless it is a primitive train track automorphism."""
+    verdict = traintrack.is_train_track(g)
+    if not verdict:
+        raise PreconditionError(f"[train-track] not a train track map: {verdict}")
+    if spectral.matrix_class(spectral.transition_matrix(g)) != spectral.PRIMITIVE:
+        raise PreconditionError(
+            "[spectral] transition matrix is not primitive, so the map "
+            "cannot represent a fully irreducible automorphism")
+    traintrack.require_automorphism(g)
+
+
 def fold_line(g: GraphMap, periods: int, samples_per_period: int):
     """Discretized periodic fold line through volume-1 marked graphs.
 
@@ -466,10 +471,7 @@ def fold_line(g: GraphMap, periods: int, samples_per_period: int):
     """
     if periods < 0 or samples_per_period < 0:
         raise PreconditionError("periods and samples must be nonnegative")
-    traintrack.require_train_track(g)
-    if spectral.matrix_class(spectral.transition_matrix(g)) != spectral.PRIMITIVE:
-        raise PreconditionError("fold lines need a primitive transition matrix")
-    g._derived("homotopy_equivalence", _is_homotopy_equivalence)
+    _require_primitive_automorphism(g)
     lam = spectral.dilatation(g)
     graph0 = spectral.eigenmetric(g)
     # the representative folded in each period, and its codomain's lengths
@@ -501,8 +503,8 @@ class LoneAxisReport(ReadOnlyAttributes):
     unknown, where conditional means both conditions hold but full
     irreducibility was not asserted by the caller.  ``proven_leg_bound``
     is the leg cap of the rotationless power, the Nielsen search bound
-    that settles an unknown verdict; when no cap shows it is None, and no
-    bound settles it.  The report is stored on the map and shared, so it
+    that settles an unknown verdict, or None when its Nielsen paths are
+    too many to list.  The report is stored on the map and shared, so it
     is read-only.
     """
 
@@ -521,94 +523,6 @@ class LoneAxisReport(ReadOnlyAttributes):
 
     def __repr__(self):
         return f"LoneAxisReport({self.overall}, i={self.index_sum})"
-
-
-def _fold_edge_images(g: GraphMap):
-    """Stallings fold of the domain subdivided at every interior letter of
-    the edge images, with union-find (Kapovich-Myasnikov 2002).
-
-    Node i is a domain vertex or a point between two consecutive letters
-    of an edge image, and ``labels[i]`` is the codomain vertex it maps
-    to; consecutive nodes are linked by their letter, both ways.  Two
-    links that leave one class by the same letter queue a merge of their
-    targets, and a merge folds the smaller out-table into the larger.
-    Returns the labels, the union-find parents, and per root the map from
-    a letter to a node of the class it leads to.
-    """
-    dom, cod = g.domain, g.codomain
-    vertices = sorted(dom.vertices)
-    index = {v: i for i, v in enumerate(vertices)}
-    labels = [g.vertex_map[v] for v in vertices]
-    out = [{} for _ in labels]
-    pending = []
-
-    def link(u, x, w):
-        t = out[u].setdefault(x, w)
-        if t != w:
-            pending.append((t, w))
-
-    for e in dom.pairs:
-        img = g.image(e)
-        u, w = index[dom.init_vertex(e)], index[dom.term_vertex(e)]
-        # the n - 1 interior nodes b..b+n-2 are built in bulk: each has the
-        # two links of a tight image, which never collide
-        n, b = len(img), len(labels)
-        link(u, img[0], b if n > 1 else w)
-        link(w, rev_edge(img[-1]), b + n - 2 if n > 1 else u)
-        labels.extend(map(cod._term.__getitem__, islice(img, n - 1)))
-        out.extend(map(dict, zip(
-            zip(map(rev_edge, islice(img, n - 1)), chain((u,), range(b, b + n - 2))),
-            zip(islice(img, 1, None), chain(range(b + 1, b + n - 1), (w,))))))
-
-    parent = list(range(len(labels)))
-    while pending:
-        a, b = pending.pop()
-        # find both roots, halving the paths
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
-        while parent[b] != b:
-            parent[b] = b = parent[parent[b]]
-        if a == b:
-            continue
-        if labels[a] != labels[b]:
-            raise InternalCheckError(
-                f"fold merged nodes over codomain vertices {labels[a]} "
-                f"and {labels[b]}")
-        if len(out[a]) < len(out[b]):
-            a, b = b, a
-        parent[b] = a
-        for x, t in out[b].items():
-            s = out[a].setdefault(x, t)
-            if s != t:
-                pending.append((s, t))
-        out[b] = None
-    return labels, parent, out
-
-
-def _is_homotopy_equivalence(g):
-    # Stallings: g is onto on pi_1 iff its folded edge images are the
-    # codomain itself, and a free group of finite rank is Hopfian, so
-    # with equal ranks onto means an isomorphism
-    labels, parent, out = _fold_edge_images(g)
-    roots = [i for i, p in enumerate(parent) if p == i]
-    edges = sum(len(out[i]) for i in roots) // 2
-    cod = g.codomain
-    missed = cod.vertices - {labels[i] for i in roots}
-    witness = None
-    if (len(roots), edges) != (len(cod.vertices), len(cod.pairs)):
-        witness = (f"its folded edge images have {len(roots)} vertices and "
-                   f"{edges} edges, the codomain {len(cod.vertices)} and "
-                   f"{len(cod.pairs)}")
-    elif missed:
-        witness = (f"its folded edge images miss the codomain vertices "
-                   f"{sorted(missed)}")
-    elif g.domain.rank() != cod.rank():
-        witness = f"the rank drops from {g.domain.rank()} to {cod.rank()}"
-    if witness:
-        raise PreconditionError(
-            f"[homotopy-equivalence] the map does not represent an "
-            f"automorphism: {witness}")
-    return True
 
 
 def _fold_records_of(grot):
@@ -636,14 +550,7 @@ def _lone_axis_decision(g, np_bound, fully_irreducible_asserted):
     r = g.domain.rank()
     if r < 2:
         raise PreconditionError("[rank] lone axis analysis needs rank >= 2")
-    verdict = traintrack.is_train_track(g)
-    if not verdict:
-        raise PreconditionError(f"[train-track] not a train track map: {verdict}")
-    if spectral.matrix_class(spectral.transition_matrix(g)) != spectral.PRIMITIVE:
-        raise PreconditionError(
-            "[spectral] transition matrix is not primitive, so the map "
-            "cannot represent a fully irreducible automorphism")
-    g._derived("homotopy_equivalence", _is_homotopy_equivalence)
+    _require_primitive_automorphism(g)
     grot, exponent = traintrack.rotationless_power(g)
     np_free, _, np_report = nielsen.np_verdict(grot, np_bound)
     common = dict(rank=r, train_track=True, primitive=True,

@@ -166,9 +166,6 @@ class MarkedGraph:
             raise InvalidGraphError("graph carries no lengths")
         return sum(self.lengths.values())
 
-    def path_length(self, path):
-        return sum(self.length(e) for e in path)
-
     def with_lengths(self, lengths, normalized=False):
         return MarkedGraph(self.edge_ends, lengths=lengths,
                            subdivision_vertices=self.subdivision_vertices,

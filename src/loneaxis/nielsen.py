@@ -45,10 +45,10 @@ class NielsenPathReport:
     ``paths`` lists every NP found with legs of at most ``search_bound``
     edges, the requested bound, canonically oriented and sorted; the legs
     are read up to min(bound, cap).  ``proven_leg_bound`` is that cap
-    (`_leg_cap`), the longest leg an iNP can have, or None when no cap
-    shows.  ``exhaustive`` means the cap lies within the requested bound,
-    so an empty list certifies NP-freeness (concatenations of indivisible
-    paths are only enumerated up to twice the bound).
+    (`_leg_cap`), the longest leg an iNP can have.  ``exhaustive`` means
+    the cap lies within the requested bound, so an empty list certifies
+    NP-freeness (concatenations of indivisible paths are only enumerated
+    up to twice the bound).
     """
 
     def __init__(self, paths, search_bound, exhaustive, proven_leg_bound):
@@ -166,10 +166,6 @@ def _common_end(a, p, b, q):
     return c
 
 
-class _Unbounded(Exception):
-    """Raised inside `_tail_bound` when two ends can agree without limit."""
-
-
 def _tail_bound(g):
     """The most letters the tail of an iNP leg of two or more edges can
     have; None when no bound shows.
@@ -185,14 +181,14 @@ def _tail_bound(g):
     across a legal turn whose image ends in the letter the other side
     needs next.  Bounded cancellation (Cooper 1987) makes the states a
     finite acyclic graph for a homotopy equivalence, and the bound is its
-    longest path.  A cycle, or two sides that go on with one edge, would
-    let the ends agree without limit; so would a chain of states too deep
-    to follow.
+    longest path, found by a depth-first walk on an explicit stack.  A
+    cycle, or two sides that go on with one edge, would let the ends
+    agree without limit.
     """
     dom = g.domain
     img = {e: g.image(e) for e in dom.oriented}
     gate_of = traintrack.gates(g).gate_of
-    preds, value, on_path = {}, {}, set()
+    preds = {}
 
     def predecessors(w):
         # the edges z with z . w legal, by the last letter of their image
@@ -204,63 +200,65 @@ def _tail_bound(g):
                         rev_edge(d))
         return preds[w]
 
-    def longest(z, p, w):
-        state = z, p, w
-        if state in value:
-            return value[state]
-        if state in on_path:
-            raise _Unbounded
-        on_path.add(state)
-        a, b = img[z], img[w]
-        c = _common_end(a, p, b, len(b))
-        p, q = p - c, len(b) - c
-        more = 0
-        if p and not q:
-            for w2 in predecessors(w).get(a[p - 1], ()):
-                more = max(more, longest(z, p, w2))
-        elif q and not p:
-            for z2 in predecessors(z).get(b[q - 1], ()):
-                more = max(more, longest(w, q, z2))
-        elif not p:
-            for end, zs in predecessors(z).items():
-                for w2 in predecessors(w).get(end, ()):
-                    for z2 in zs:
-                        if z2 == w2:
-                            raise _Unbounded
-                        # a fresh pair reads the same in either order
-                        x, y = min(z2, w2), max(z2, w2)
-                        more = max(more, longest(x, len(img[x]), y))
-        on_path.discard(state)
-        value[state] = c + more
-        return c + more
-
     ends = {}
     for e in dom.oriented:
         ends.setdefault(img[e][-1], []).append(e)
     # pairs whose images nest: the shorter one ends the longer one
-    nested = [(x, y) if len(img[x]) >= len(img[y]) else (y, x)
+    starts = [(x, len(img[x]), y) if len(img[x]) >= len(img[y])
+              else (y, len(img[y]), x)
               for same in ends.values() for x, y in combinations(same, 2)
               if all(map(eq, reversed(img[x]), reversed(img[y])))]
-    try:
-        return max((longest(x, len(img[x]), y) for x, y in nested), default=0)
-    except (_Unbounded, RecursionError):
-        return None
-    finally:
-        longest = None  # it refers to itself: free it without the collector
+    # value[s]: longest path from s; on_path[s]: (c, successors) till done
+    value, on_path, stack = {}, {}, starts[:]
+    while stack:
+        state = stack.pop()
+        if state in value:
+            continue
+        if state in on_path:
+            # it was pushed back under its successors, now all finished
+            c, nxt = on_path.pop(state)
+            value[state] = c + max(map(value.__getitem__, nxt))
+            continue
+        z, p, w = state
+        a, b = img[z], img[w]
+        c = _common_end(a, p, b, len(b))
+        p, q = p - c, len(b) - c
+        nxt = ()
+        if p and not q:
+            nxt = [(z, p, w2) for w2 in predecessors(w).get(a[p - 1], ())]
+        elif q and not p:
+            nxt = [(w, q, z2) for z2 in predecessors(z).get(b[q - 1], ())]
+        elif not p:
+            pairs = [(z2, w2) for end, zs in predecessors(z).items()
+                     for w2 in predecessors(w).get(end, ()) for z2 in zs]
+            if any(z2 == w2 for z2, w2 in pairs):
+                return None
+            # a fresh pair reads the same in either order
+            nxt = [(x, len(img[x]), y) for x, y in map(sorted, pairs)]
+        if not nxt:
+            value[state] = c
+            continue
+        on_path[state] = c, nxt
+        if not on_path.keys().isdisjoint(nxt):
+            return None  # a cycle
+        stack.append(state)
+        stack += nxt
+    return max(map(value.__getitem__, starts), default=0)
 
 
 def _leg_cap(g):
-    """The longest leg an indivisible NP of g can have, in edges, or None
-    when no cap shows.
+    """The longest leg an indivisible NP of g can have, in edges.
 
     A leg of one edge is always read.  A longer leg's tail has at most
     `_tail_bound` letters, and the tail length n(i) - i never falls as i
     grows, so each ray is walked, a letter at a time, until its tail
-    passes that bound.  Stored on g.
+    passes that bound, which every automorphism has.  Stored on g.
     """
     most = _tail_bound(g)
     if most is None:
-        return None
+        traintrack.require_automorphism(g)
+        raise InternalCheckError(
+            "the leg matcher shows no bound for an automorphism")
     cap = 1
     for d in _fixed_directions(g):
         ray, n = [d], [0]
@@ -329,11 +327,11 @@ def find_nielsen_paths(g: GraphMap, bound: int = DEFAULT_BOUND) -> NielsenPathRe
     (`_leg_cap`) and stored on g, so every bound at or above the cap
     shares one search; divisible ones are their tight concatenations of
     up to twice the requested bound, which ``search_bound`` reports.  The
-    report is exhaustive when the leg cap fits under the requested bound;
-    with no cap it never is.
+    report is exhaustive when the leg cap fits under the requested bound.
     Raises NielsenPathPresentError when the concatenations are too many
-    to list.  The report is stored on g per bound and shared by every
-    caller.
+    to list, and PreconditionError on a map with no leg cap, which
+    represents no automorphism.  The report is stored on g per bound and
+    shared by every caller.
     """
     if bound < 1:
         raise PreconditionError("bound must be a positive integer")
@@ -346,14 +344,13 @@ def _find_nielsen_paths(g, bound):
     # no iNP has a leg past the cap, so every bound at or above it shares
     # one search, stored on g, and certifies
     cap = g._derived("leg_cap", _leg_cap)
-    legs = bound if cap is None else min(bound, cap)
+    legs = min(bound, cap)
     inps = g._derived(("inps", legs), lambda g: _iterative_search(g, legs))
     divisible = _concatenations(g, inps, 2 * bound)
     paths = [NielsenPath(p, True) for p in inps]
     paths += [NielsenPath(p, False) for p in divisible]
     paths.sort(key=lambda np_: np_.path)
-    return NielsenPathReport(paths, bound, cap is not None and bound >= cap,
-                             cap)
+    return NielsenPathReport(paths, bound, bound >= cap, cap)
 
 
 def np_verdict(g: GraphMap, bound: int = DEFAULT_BOUND):
@@ -379,10 +376,7 @@ def _np_verdict(g, bound):
                        f"{' '.join(report.paths[0].path)}; ideal data is "
                        f"undefined here"), report
     if not report.exhaustive:
-        cap = report.proven_leg_bound
-        why = (": no leg cap shows for this map, so a larger bound cannot "
-               "certify it" if cap is None
-               else f" (proven bound {cap}); raise it")
         return None, (f"Nielsen search at bound {report.search_bound} is not "
-                      f"exhaustive{why}"), report
+                      f"exhaustive (proven bound {report.proven_leg_bound}); "
+                      f"raise it"), report
     return True, None, report

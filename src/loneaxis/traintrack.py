@@ -9,15 +9,21 @@ gates.
 Every structure here depends on the map alone, so it is computed once,
 stored on the map, and shared by every caller; its mappings are
 read-only.
+
+Bounded cancellation (Cooper 1987), which every search rests on, holds
+for homotopy equivalences, so the rotationless power first folds the
+edge images in one pass with union-find: the map is an automorphism iff
+the folded graph is the codomain and the rank does not drop (Stallings
+1983).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 
-from .errors import PreconditionError
+from .errors import InternalCheckError, PreconditionError
 from .graphs import GraphMap, ReadOnlyDict, power, rev_edge
 from . import spectral
 
@@ -214,6 +220,99 @@ def _periodic_structure(g):
                              exponent)
 
 
+def _fold_edge_images(g: GraphMap):
+    """Stallings fold of the domain subdivided at every interior letter of
+    the edge images, with union-find (Kapovich-Myasnikov 2002).
+
+    Node i is a domain vertex or a point between two consecutive letters
+    of an edge image, and ``labels[i]`` is the codomain vertex it maps
+    to; consecutive nodes are linked by their letter, both ways.  Two
+    links that leave one class by the same letter queue a merge of their
+    targets, and a merge folds the smaller out-table into the larger.
+    Returns the labels, the union-find parents, and per root the map from
+    a letter to a node of the class it leads to.
+    """
+    dom, cod = g.domain, g.codomain
+    vertices = sorted(dom.vertices)
+    index = {v: i for i, v in enumerate(vertices)}
+    labels = [g.vertex_map[v] for v in vertices]
+    out = [{} for _ in labels]
+    pending = []
+
+    def link(u, x, w):
+        t = out[u].setdefault(x, w)
+        if t != w:
+            pending.append((t, w))
+
+    for e in dom.pairs:
+        img = g.image(e)
+        u, w = index[dom.init_vertex(e)], index[dom.term_vertex(e)]
+        # the n - 1 interior nodes b..b+n-2 are built in bulk: each has the
+        # two links of a tight image, which never collide
+        n, b = len(img), len(labels)
+        link(u, img[0], b if n > 1 else w)
+        link(w, rev_edge(img[-1]), b + n - 2 if n > 1 else u)
+        labels.extend(map(cod._term.__getitem__, islice(img, n - 1)))
+        out.extend(map(dict, zip(
+            zip(map(rev_edge, islice(img, n - 1)), chain((u,), range(b, b + n - 2))),
+            zip(islice(img, 1, None), chain(range(b + 1, b + n - 1), (w,))))))
+
+    parent = list(range(len(labels)))
+    while pending:
+        a, b = pending.pop()
+        # find both roots, halving the paths
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a == b:
+            continue
+        if labels[a] != labels[b]:
+            raise InternalCheckError(
+                f"fold merged nodes over codomain vertices {labels[a]} "
+                f"and {labels[b]}")
+        if len(out[a]) < len(out[b]):
+            a, b = b, a
+        parent[b] = a
+        for x, t in out[b].items():
+            s = out[a].setdefault(x, t)
+            if s != t:
+                pending.append((s, t))
+        out[b] = None
+    return labels, parent, out
+
+
+def _is_homotopy_equivalence(g):
+    # Stallings: g is onto on pi_1 iff its folded edge images are the
+    # codomain itself, and a free group of finite rank is Hopfian, so
+    # with equal ranks onto means an isomorphism
+    labels, parent, out = _fold_edge_images(g)
+    roots = [i for i, p in enumerate(parent) if p == i]
+    edges = sum(len(out[i]) for i in roots) // 2
+    cod = g.codomain
+    missed = cod.vertices - {labels[i] for i in roots}
+    witness = None
+    if (len(roots), edges) != (len(cod.vertices), len(cod.pairs)):
+        witness = (f"its folded edge images have {len(roots)} vertices and "
+                   f"{edges} edges, the codomain {len(cod.vertices)} and "
+                   f"{len(cod.pairs)}")
+    elif missed:
+        witness = (f"its folded edge images miss the codomain vertices "
+                   f"{sorted(missed)}")
+    elif g.domain.rank() != cod.rank():
+        witness = f"the rank drops from {g.domain.rank()} to {cod.rank()}"
+    if witness:
+        raise PreconditionError(
+            f"[homotopy-equivalence] the map does not represent an "
+            f"automorphism: {witness}")
+    return True
+
+
+def require_automorphism(g: GraphMap):
+    """Raise PreconditionError unless g represents an automorphism."""
+    g._derived("homotopy_equivalence", _is_homotopy_equivalence)
+
+
 _ROTATIONLESS_POWER_CAP = 60
 # total letters in the edge images of a rotationless power; the largest
 # one built in the tests and perfbench, the 42nd power of the rank-3 map
@@ -225,14 +324,15 @@ def rotationless_power(g: GraphMap):
     """(g^k, k) for the rotationless exponent k of a train track map,
     stored on g and shared by every caller.
 
-    Refuses, before building it, a power past the exponent cap or whose
-    edge images would hold more than a million letters in total.
+    Refuses a non-automorphism and, before building it, a power past the
+    exponent cap or whose edge images would hold over a million letters.
     """
     return g._derived("rotationless_power", _rotationless_power)
 
 
 def _rotationless_power(g):
     k = periodic_structure(g).rotationless_exponent
+    require_automorphism(g)
     if k > _ROTATIONLESS_POWER_CAP:
         raise PreconditionError(
             f"rotationless exponent {k} is beyond desk scale")

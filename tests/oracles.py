@@ -97,7 +97,7 @@ def turns_crossed(path):
 
 def fold_edge_images(g):
     """Union-find Stallings fold of the edge images, in the format of
-    `axes._fold_edge_images`, linking every letter through one call."""
+    `traintrack._fold_edge_images`, linking every letter through one call."""
     dom, cod = g.domain, g.codomain
     vertices = sorted(dom.vertices)
     index = {v: i for i, v in enumerate(vertices)}

@@ -120,7 +120,7 @@ def test_stages_computed_once_per_map(monkeypatch):
                          (nielsen, "_iterative_search"),
                          (axes, "_lone_axis_decision"),
                          (axes, "_signature_of"),
-                         (axes, "_is_homotopy_equivalence"),
+                         (traintrack, "_is_homotopy_equivalence"),
                          (axes, "stallings_decomposition")):
         counted(module, name)
     g = power(cubic_map(), 2)

@@ -516,7 +516,8 @@ class TestSubcommands:
         p = tmp_path / "collapse.doc"
         p.write_text(serialize_document(GraphMapDocument(
             rose_map({"a": "a b", "b": "a b"}))))
-        for sub in ("fold-line", "lone-axis", "signature"):
+        for sub in ("fold-line", "lone-axis", "signature", "pnp", "index",
+                    "whitehead"):
             assert run([sub, str(p)]) == 3
             captured = capsys.readouterr()
             assert captured.err == (
@@ -533,6 +534,11 @@ class TestSubcommands:
         monkeypatch.setattr("loneaxis.axes.axis_signature", broken)
         assert run(["pnp", h_file]) == 4
         assert run(["signature", h_file]) == 4
+
+    def test_no_leg_cap_on_an_automorphism_exits_4(self, h_file,
+                                                    monkeypatch):
+        monkeypatch.setattr("loneaxis.nielsen._tail_bound", lambda g: None)
+        assert run(["pnp", h_file]) == 4
 
     def test_python_m_loneaxis(self, h_file):
         src = os.path.dirname(os.path.dirname(cli.__file__))

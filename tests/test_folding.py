@@ -15,7 +15,7 @@ from loneaxis.errors import (DecompositionError, LoneAxisError,
                              PreconditionError)
 from loneaxis.graphs import (GraphMap, MarkedGraph, base_label, compose, power,
                              rev_edge, rose, rose_map)
-from loneaxis import axes, spectral
+from loneaxis import axes, spectral, traintrack
 
 from conftest import (cubic_map, dumbbell_instance, eight_petal_map, fib_map,
                       identity_map, rank4_map)
@@ -293,7 +293,7 @@ def test_folds_read_no_image_letter(monkeypatch):
 def homotopy_equivalence(g):
     """The decision's check: True, or the message it rejects g with."""
     try:
-        return axes._is_homotopy_equivalence(g)
+        return traintrack._is_homotopy_equivalence(g)
     except PreconditionError as ex:
         return str(ex)
 
@@ -392,11 +392,11 @@ def test_decision_builds_no_object_per_move(monkeypatch):
     monkeypatch.setattr(axes, "stallings_decomposition", refuse)
     nodes = []
 
-    def fold(h, _fold=axes._fold_edge_images):
+    def fold(h, _fold=traintrack._fold_edge_images):
         labels, parent, out = _fold(h)
         nodes.append(len(labels))
         return labels, parent, out
-    monkeypatch.setattr(axes, "_fold_edge_images", fold)
+    monkeypatch.setattr(traintrack, "_fold_edge_images", fold)
     assert axes.lone_axis_decision(g).overall == "not-lone-axis"
     assert len(built) <= 10
     # one node per domain vertex and per interior letter of an edge image

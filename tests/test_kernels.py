@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from loneaxis.errors import InvalidMapError
 from loneaxis.graphs import (GraphMap, MarkedGraph, compose, is_tight, power,
                              rev_edge, rev_path, rose, rose_map)
-from loneaxis import axes, traintrack
+from loneaxis import traintrack
 
 import oracles
 from conftest import cubic_map, dumbbell_instance
@@ -160,14 +160,14 @@ def folded(result):
                  st.sampled_from([dumbbell_instance(),
                                   power(dumbbell_instance(), 2)])))
 def test_fold_edge_images(g):
-    assert folded(axes._fold_edge_images(g)) == folded(
+    assert folded(traintrack._fold_edge_images(g)) == folded(
         oracles.fold_edge_images(g))
 
 
 @settings(max_examples=40, deadline=None)
 @given(rose_automorphisms())
 def test_automorphisms_fold_onto_the_rose(g):
-    assert axes._is_homotopy_equivalence(g) is True
+    assert traintrack._is_homotopy_equivalence(g) is True
 
 
 def test_reverses_are_shared():

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -510,6 +511,16 @@ def assert_tail_bound_holds(g, length):
     return seen, most
 
 
+def calls_left():
+    """How many more nested Python calls the interpreter allows here."""
+    def down(n):
+        try:
+            return down(n + 1)
+        except RecursionError:
+            return n
+    return down(0)
+
+
 def assert_search_complete_at_leg_cap(g):
     """No iNP has a leg past the cap: a search at 40 or 160 finds what
     the search at the cap finds."""
@@ -574,18 +585,52 @@ class TestLegCap:
 
     def test_no_cap_when_the_ends_agree_without_limit(self):
         # a -> ab, b -> ab is no homotopy equivalence: a path and the same
-        # path with its last edge swapped have equal images
+        # path with its last edge swapped have equal images, so the
+        # matcher shows no bound and the search refuses the input
         g = rose_map({"a": "a b", "b": "a b"})
         assert nielsen._tail_bound(g) is None
-        assert nielsen._leg_cap(g) is None
-        # with no cap no bound certifies, and the verdict says so
-        report = nielsen.find_nielsen_paths(g, 10)
-        assert report.paths == () and not report.exhaustive
-        assert report.proven_leg_bound is None
-        free, reason, _ = nielsen.np_verdict(g, 10)
-        assert free is None
-        assert "no leg cap shows for this map" in reason
-        assert "a larger bound cannot certify it" in reason
+        with pytest.raises(PreconditionError,
+                           match=r"^\[homotopy-equivalence\] "):
+            nielsen.find_nielsen_paths(g, 10)
+
+    def test_no_cap_on_an_automorphism_is_an_internal_failure(
+            self, monkeypatch):
+        monkeypatch.setattr(nielsen, "_tail_bound", lambda g: None)
+        g, _ = traintrack.rotationless_power(cubic_map())
+        with pytest.raises(InternalCheckError, match="no bound"):
+            nielsen.find_nielsen_paths(g, 10)
+
+    @pytest.mark.parametrize("name,most", [("cubic", 12), ("rank5", 12),
+                                           ("fib", 3)])
+    def test_tail_bound_needs_no_recursion(self, name, most):
+        # a matcher chain deeper than the interpreter's stack still
+        # gives the bound; the gates are built before the limit drops
+        g = rotationless_fixtures()[name]
+        traintrack.gates(g)
+        limit = sys.getrecursionlimit()
+        # six calls above this frame, however deep the test runner is; a
+        # matcher that recursed once per state would run out on cubic
+        sys.setrecursionlimit(limit - calls_left() + 6)
+        try:
+            assert nielsen._tail_bound(g) == most
+        finally:
+            sys.setrecursionlimit(limit)
+
+    def test_cap_is_an_int_on_the_corpus_and_seeded_draws(self, corpus):
+        rng = random.Random(11)
+        draws = (random_positive_map(rng.choice((2, 3, 4)), rng,
+                                     rng.randint(5, 12), 200)
+                 for _ in range(300))
+        caps = []
+        for g in itertools.chain(corpus, draws):
+            try:
+                grot, _ = traintrack.rotationless_power(g)
+                nielsen._require_rotationless_tt(grot)
+            except PreconditionError:
+                continue
+            caps.append(nielsen._leg_cap(grot))
+        assert all(type(cap) is int and cap >= 1 for cap in caps)
+        assert len(caps) == 320
 
     @pytest.mark.parametrize("name", ["fib", "cubic"])
     def test_one_leg_search_per_map_at_or_above_the_cap(
